@@ -37,12 +37,8 @@ def _run() -> ExperimentReport:
             ("with trimming", with_trim),
             ("without trimming", without_trim),
         ):
-            guess = attack.infer_top1(coords)
-            err = (
-                guess.distance_to(user.true_tops[0])
-                if guess is not None
-                else float("inf")
-            )
+            tops = attack.estimate_xy(coords, 1)
+            err = tops[0].distance_to(user.true_tops[0]) if tops else float("inf")
             errors[label].append(err)
     rows = []
     for label, errs in errors.items():

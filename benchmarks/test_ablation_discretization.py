@@ -19,6 +19,7 @@ from repro.core.params import OneTimeBudget
 from repro.datagen.casestudy import make_fig4_user
 from repro.datagen.obfuscate import one_time_obfuscate
 from repro.experiments.tables import ExperimentReport
+from repro.profiles.checkin import checkins_to_array
 
 GRID_STEPS = (10.0, 50.0, 100.0, 250.0)
 
@@ -32,7 +33,7 @@ def _run() -> ExperimentReport:
     continuous = PlanarLaplaceMechanism(OneTimeBudget(epsilon), rng=default_rng(1))
     observed = one_time_obfuscate(user.trace, continuous)
     attack = DeobfuscationAttack.against(continuous)
-    guess = attack.infer_top1(observed)
+    (guess,) = attack.estimate_xy(checkins_to_array(observed), 1)
     rows.append(
         {
             "grid_step_m": 0.0,
@@ -46,12 +47,12 @@ def _run() -> ExperimentReport:
         )
         observed = one_time_obfuscate(user.trace, mech)
         attack = DeobfuscationAttack.against(mech)
-        guess = attack.infer_top1(observed)
+        tops = attack.estimate_xy(checkins_to_array(observed), 1)
         rows.append(
             {
                 "grid_step_m": step,
                 "attack_top1_error_m": (
-                    guess.distance_to(home) if guess else float("inf")
+                    tops[0].distance_to(home) if tops else float("inf")
                 ),
             }
         )

@@ -6,29 +6,22 @@ interest and get dropped at the edge.  Without the filter all of them
 would reach the phone.
 """
 
-import numpy as np
-
 from repro.datagen.population import PopulationConfig, generate_population
-from repro.datagen.shanghai import shanghai_planar_bbox
-from repro.edge.system import EdgePrivLocAdSystem, SystemConfig, seed_campaigns
 from repro.experiments.tables import ExperimentReport
+from repro.serve import TrafficSummary, run_population
 
 
 def _run() -> ExperimentReport:
     users = generate_population(PopulationConfig(n_users=10, seed=31))
-    system = EdgePrivLocAdSystem(SystemConfig(n_edge_devices=2))
-    rng = np.random.default_rng(8)
-    system.register_campaigns(
-        seed_campaigns(shanghai_planar_bbox(), 300, 5_000.0, rng)
-    )
-    report = system.run(users)
+    report = run_population(users, n_edges=2, n_campaigns=300, seed=8)
+    traffic = TrafficSummary.from_responses(report.responses)
     rows = [
         {
-            "requests": report.requests,
-            "ads_from_network": report.ads_received,
-            "ads_delivered": report.ads_delivered,
-            "filtered_out": report.ads_received - report.ads_delivered,
-            "relevance_ratio": report.relevance_ratio,
+            "requests": traffic.requests,
+            "ads_from_network": traffic.ads_received,
+            "ads_delivered": traffic.ads_delivered,
+            "filtered_out": traffic.ads_received - traffic.ads_delivered,
+            "relevance_ratio": traffic.relevance_ratio,
         }
     ]
     return ExperimentReport(

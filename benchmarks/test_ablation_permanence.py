@@ -20,7 +20,7 @@ from repro.core.posterior import PosteriorSelector
 from repro.datagen.obfuscate import permanent_obfuscate
 from repro.datagen.population import PopulationConfig, iter_population
 from repro.experiments.tables import ExperimentReport
-from repro.profiles.checkin import CheckIn
+from repro.profiles.checkin import CheckIn, checkins_to_array
 from repro.profiles.frequent import eta_frequent_set
 from repro.profiles.profile import LocationProfile
 
@@ -39,9 +39,9 @@ def _run() -> ExperimentReport:
 
         pinned = permanent_obfuscate(user.trace, tops, mechanism, selector)
         attack = DeobfuscationAttack.against(mechanism)
-        guess = attack.infer_top1(pinned)
-        if guess is not None:
-            pinned_errors.append(guess.distance_to(user.true_tops[0]))
+        tops = attack.estimate_xy(checkins_to_array(pinned), 1)
+        if tops:
+            pinned_errors.append(tops[0].distance_to(user.true_tops[0]))
 
         # Broken variant: new candidate set per request.
         fresh = [
@@ -52,9 +52,9 @@ def _run() -> ExperimentReport:
         attack_fresh = DeobfuscationAttack.against(
             GaussianMechanism(budget.with_n(1), rng=default_rng(0))
         )
-        guess = attack_fresh.infer_top1(fresh)
-        if guess is not None:
-            fresh_errors.append(guess.distance_to(user.true_tops[0]))
+        tops = attack_fresh.estimate_xy(checkins_to_array(fresh), 1)
+        if tops:
+            fresh_errors.append(tops[0].distance_to(user.true_tops[0]))
 
     rows = [
         {

@@ -24,7 +24,7 @@ from repro.datagen.casestudy import make_fig4_user
 from repro.datagen.obfuscate import one_time_obfuscate
 from repro.experiments.tables import ExperimentReport
 from repro.geo.point import Point
-from repro.profiles.checkin import CheckIn
+from repro.profiles.checkin import CheckIn, checkins_to_array
 
 
 def _run() -> ExperimentReport:
@@ -53,10 +53,10 @@ def _run() -> ExperimentReport:
 
     # Longitudinal attack on both streams.
     attack = DeobfuscationAttack.against(mechanism)
-    raw_guess = attack.infer_top1(observed)
+    (raw_guess,) = attack.estimate_xy(checkins_to_array(observed), 1)
     # Remapped outputs live on the prior grid — cluster at grid scale.
     remap_attack = DeobfuscationAttack(theta=750.0, r_alpha=1_500.0)
-    remap_guess = remap_attack.infer_top1(remapped)
+    (remap_guess,) = remap_attack.estimate_xy(checkins_to_array(remapped), 1)
 
     rows = [
         {

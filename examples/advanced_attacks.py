@@ -35,12 +35,12 @@ def main() -> None:
 
     # --- Algorithm 1 ------------------------------------------------------
     alg1 = DeobfuscationAttack.against(mechanism)
-    guess = alg1.infer_top1(coords)
+    (guess,) = alg1.estimate_xy(coords, 1)
     print(f"Algorithm 1 (paper):    home to {guess.distance_to(home):7.1f} m")
 
     # --- k-means baseline -------------------------------------------------
     km = KMeansAttack(k=8, rng=default_rng(2))
-    guess = km.infer_top1(coords)
+    (guess,) = km.estimate_xy(coords, 1)
     print(f"k-means baseline:       home to {guess.distance_to(home):7.1f} m")
 
     # --- Temporal (semantic) attacker --------------------------------------
@@ -63,7 +63,7 @@ def main() -> None:
 
     night_obs = [c.point for c in observed if NIGHT.contains(c.timestamp)]
     map_attack = MAPAttack.laplace(mechanism.epsilon)
-    est = map_attack.estimate(night_obs, candidates)
+    est = map_attack.map_candidate(night_obs, candidates)
     print(
         f"MAP estimator (Eq. 5):  picked the true address with posterior "
         f"{est.posterior[0]:.3f} from 5 candidates "

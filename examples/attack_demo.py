@@ -23,7 +23,12 @@ from repro.attack import DeobfuscationAttack
 from repro.core import GaussianMechanism, default_rng
 from repro.datagen import make_fig4_user, one_time_obfuscate, permanent_obfuscate
 from repro.datagen.shanghai import STUDY_START_TS
-from repro.profiles import SECONDS_PER_DAY, LocationProfile, filter_window
+from repro.profiles import (
+    SECONDS_PER_DAY,
+    LocationProfile,
+    checkins_to_array,
+    filter_window,
+)
 
 
 def main() -> None:
@@ -46,8 +51,8 @@ def main() -> None:
         window = filter_window(
             observed, STUDY_START_TS, STUDY_START_TS + days * SECONDS_PER_DAY
         )
-        guess = attack.infer_top1(window)
-        err = guess.distance_to(home) if guess else float("inf")
+        guesses = attack.estimate_xy(checkins_to_array(window), 1) if window else []
+        err = guesses[0].distance_to(home) if guesses else float("inf")
         print(f"  {label:>9} ({len(window):4d} obs): home recovered to {err:7.1f} m")
 
     # --- The Edge-PrivLocAd defense --------------------------------------
@@ -64,8 +69,8 @@ def main() -> None:
     )
 
     defended_attack = DeobfuscationAttack.against(nfold)
-    guess = defended_attack.infer_top1(defended)
-    err = guess.distance_to(home) if guess else float("inf")
+    guesses = defended_attack.estimate_xy(checkins_to_array(defended), 1)
+    err = guesses[0].distance_to(home) if guesses else float("inf")
     print("\nattacking the permanent 10-fold Gaussian defense:")
     print(f"  full year ({len(defended)} obs): best guess is {err:7.1f} m away")
     print("  (paper: <1% of users recovered within 200 m under the defense)")

@@ -5,51 +5,41 @@ Run with::
     python examples/edge_lba_simulation.py
 
 Builds the whole ecosystem — synthetic Shanghai users, radius-targeting
-advertisers, edge devices running the three Edge-PrivLocAd modules, and an
-honest-but-curious ad network — replays two years of traffic, then lets
-the provider mount the longitudinal attack on its own bidding log to show
-the defense holding.
+advertisers, edge devices running the three Edge-PrivLocAd modules per
+user, and an honest-but-curious ad network — replays two years of
+traffic, then lets the provider mount the longitudinal attack on the
+egress record (every report that crossed the trust boundary) to show the
+defense holding.
 """
 
-import numpy as np
-
 from repro.attack import DeobfuscationAttack, evaluate_user, success_rate
-from repro.core import GeoIndBudget, NFoldGaussianMechanism
-from repro.datagen import PopulationConfig, generate_population, shanghai_planar_bbox
-from repro.edge import EdgePrivLocAdSystem, SystemConfig, seed_campaigns
+from repro.core import NFoldGaussianMechanism
+from repro.datagen import PopulationConfig, generate_population
+from repro.serve import TrafficSummary, attack_egress, run_population
 
 
 def main() -> None:
-    rng = np.random.default_rng(2022)
-
     print("generating synthetic population (Shanghai region, 2 years)...")
     users = generate_population(PopulationConfig(n_users=40, seed=5))
     total_checkins = sum(u.n_checkins for u in users)
     print(f"  {len(users)} users, {total_checkins} check-ins")
 
-    system = EdgePrivLocAdSystem(SystemConfig(n_edge_devices=4))
-    campaigns = seed_campaigns(
-        shanghai_planar_bbox(), count=500, radius_m=5_000.0, rng=rng
+    print("\nreplaying traffic through 4 edge devices (500 campaigns)...")
+    report = run_population(users, n_edges=4, n_campaigns=500, seed=2022)
+    traffic = TrafficSummary.from_responses(report.responses)
+    print(f"  requests served:        {traffic.requests}")
+    print(f"  served from pinned top: {traffic.top_path_share:.1%}")
+    print(f"  ads relevant after AOI filter: {traffic.relevance_ratio:.1%}")
+
+    print("\nprovider mounts the longitudinal attack on what it received...")
+    attack = DeobfuscationAttack.against(
+        NFoldGaussianMechanism(report.config.edge.budget)
     )
-    system.register_campaigns(campaigns)
-    print(f"  {len(campaigns)} radius-targeting campaigns registered")
-
-    print("\nreplaying traffic through the edge devices...")
-    report = system.run(users)
-    print(f"  requests served:        {report.requests}")
-    print(f"  served from pinned top: {report.top_path_share:.1%}")
-    print(f"  ads relevant after AOI filter: {report.relevance_ratio:.1%}")
-
-    print("\nprovider mounts the longitudinal attack on its bidding log...")
-    budget = GeoIndBudget(r=500.0, epsilon=1.0, delta=0.01, n=10)
-    attack = DeobfuscationAttack.against(NFoldGaussianMechanism(budget))
-    findings = system.provider.attack_all(attack, top_n=1)
-
-    outcomes = []
-    for user in users:
-        finding = findings[user.user_id]
-        inferred = [i.location for i in finding.inferred]
-        outcomes.append(evaluate_user(inferred, user.true_tops[:1]))
+    inferred = attack_egress(report.responses, attack, 1)
+    outcomes = [
+        evaluate_user(inferred.get(i, []), user.true_tops[:1])
+        for i, user in enumerate(users)
+    ]
     for threshold in (200.0, 500.0):
         rate = success_rate(outcomes, rank=1, threshold_m=threshold)
         print(f"  top-1 recovered within {threshold:.0f} m: {rate:.1%}")

@@ -1,7 +1,7 @@
 """Simulated location-based-advertising ecosystem."""
 
 from repro.ads.bidding import Ad, BidLog, BidLogRecord, BidRequest, BidResponse
-from repro.ads.campaign import Advertiser, Campaign
+from repro.ads.campaign import Advertiser, Campaign, seed_campaigns
 from repro.ads.delivery import DeliveryStats, filter_ads_to_aoi
 from repro.ads.matching import CampaignIndex
 from repro.ads.network import AdNetwork
@@ -15,6 +15,7 @@ from repro.ads.platform_limits import (
 __all__ = [
     "Advertiser",
     "Campaign",
+    "seed_campaigns",
     "CampaignIndex",
     "AdNetwork",
     "Ad",

@@ -9,13 +9,16 @@ location falls within the radius of the business location.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import List, Optional
+
+import numpy as np
 
 from repro.ads.platform_limits import PLATFORM_LIMITS
+from repro.geo.bbox import BoundingBox
 from repro.geo.point import Point
 
-__all__ = ["Advertiser", "Campaign"]
+__all__ = ["Advertiser", "Campaign", "seed_campaigns"]
 
 _campaign_counter = itertools.count(1)
 
@@ -96,3 +99,29 @@ class Campaign:
     def targets(self, reported_location: Point) -> bool:
         """Does this campaign target the given reported location?"""
         return self.business_location.distance_to(reported_location) <= self.radius_m
+
+
+def seed_campaigns(
+    region: BoundingBox, count: int, radius_m: float, rng: np.random.Generator
+) -> List[Campaign]:
+    """Scatter radius-targeting campaigns uniformly over the region.
+
+    Campaign ids are a pure function of the index (``campaign-<i>``), not
+    the process-global counter, so every process that seeds the same
+    inventory builds the same ids (each serve shard replicates the
+    campaign set, and response digests compare campaign ids).
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    campaigns = []
+    for i, (x, y) in enumerate(region.sample_uniform(count, rng)):
+        campaigns.append(
+            Campaign.create(
+                advertiser=Advertiser(advertiser_id=f"adv-{i:05d}", name=f"Business {i}"),
+                business_location=Point(float(x), float(y)),
+                radius_m=radius_m,
+                bid_price=float(rng.uniform(0.5, 5.0)),
+                campaign_id=f"campaign-{i:06d}",
+            )
+        )
+    return campaigns

@@ -4,7 +4,7 @@ Resolution covers the shapes the repo actually uses:
 
 * direct calls to module-level functions, followed through import
   aliases and package ``__init__`` re-exports;
-* constructor calls (``EdgeDevice(...)`` resolves to ``__init__`` and
+* constructor calls (``UserActor(...)`` resolves to ``__init__`` and
   records the constructed class);
 * method calls where the receiver type is inferable — from a local
   ``x = ClassName(...)`` assignment, a parameter annotation (protocol /

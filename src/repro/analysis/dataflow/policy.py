@@ -17,7 +17,9 @@ The default policy encodes the paper's trust boundary:
   emission, cache artifacts, stdout/file writes;
 * **charges** — ledger/accountant calls that pay for a release;
 * **declassifiers** — aggregations whose output no longer identifies a
-  location (distances, entropies, attack metrics).
+  location (distances, entropies, attack metrics);
+* **edge entries** — edge-service entry points that take raw traces and
+  return only what the per-user actors released.
 """
 
 from __future__ import annotations
@@ -176,6 +178,17 @@ class FlowPolicy:
         }
     )
 
+    # -- edge entries ------------------------------------------------------
+    #: Entry points of the edge service: raw traces go in, and what comes
+    #: out is the egress record (obfuscated reports) plus counters.  Every
+    #: report is released inside ``UserActor.handle_checkin``, whose
+    #: summary is pinned by the flow tests (its result depends on no raw
+    #: argument, and it charges the ledger/accountant), so an entry call
+    #: is clean and owes no charge of its own.
+    edge_entry_functions: FrozenSet[str] = frozenset(
+        {"repro.serve.harness.run_population"}
+    )
+
     # -- parallel boundary -------------------------------------------------
     #: Fan-out entry points: first positional argument is the worker fn,
     #: ``items``/second positional and the ``payload`` kwarg cross the
@@ -264,6 +277,10 @@ class FlowPolicy:
         if qname in self.declassifier_calls or qname in self.declassifier_functions:
             return True
         return any(qname.startswith(p) for p in self.declassifier_prefixes)
+
+    def is_edge_entry(self, qname: Optional[str]) -> bool:
+        """Whether a resolved callee is an edge-service entry point."""
+        return qname is not None and qname in self.edge_entry_functions
 
     def is_parallel_map(self, qname: Optional[str]) -> bool:
         """Whether a resolved callee is the process-pool fan-out."""

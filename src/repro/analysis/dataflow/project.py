@@ -4,7 +4,7 @@ A :class:`Project` parses every Python file under the analyzed roots
 into the same :class:`~repro.analysis.engine.FileContext` the syntactic
 rules use, then indexes the definitions: every module, class, method,
 and (nested) function gets a stable dotted *qualified name* —
-``repro.edge.device.EdgeDevice.choose_report_location`` or
+``repro.serve.actor.UserActor.handle_checkin`` or
 ``repro.experiments.fig6_attack.run.get_pop`` — and re-exports through
 package ``__init__`` files resolve transparently, so
 ``repro.parallel.parallel_map`` and ``repro.parallel.pool.parallel_map``

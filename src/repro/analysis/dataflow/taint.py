@@ -15,7 +15,7 @@ Precision notes (deliberate, documented trade-offs):
   ``pop``); ``self.attr`` stores are tracked flow-sensitively within one
   function, not across methods;
 * constructed objects join their constructor arguments' taint when
-  ``FlowPolicy`` keeps the default (``EdgeDevice(users)`` is as raw as
+  ``FlowPolicy`` keeps the default (``Wrapper(users)`` is as raw as
   ``users``);
 * comparisons return clean booleans — implicit flows through branch
   conditions are out of scope;
@@ -502,7 +502,7 @@ class _Walker:
             return self._eval_parallel_map(event, env)
 
         # Result taint, in policy-priority order.
-        if event.is_sanitizer:
+        if event.is_sanitizer or any(policy.is_edge_entry(n) for n in names):
             return BOTTOM
         if site.constructed is None and any(policy.is_source(n) for n in names):
             return frozenset({RAW})

@@ -5,7 +5,7 @@ Rules are grouped by the invariant they protect:
 * ``RNG*`` — explicit-Generator discipline (worker-count-invariant
   determinism, PR 1's ``parallel_map`` contract);
 * ``BUD*`` — permanent-noise budget hygiene (paper Section V-C);
-* ``DET*`` — wall-clock and iteration-order determinism;
+* ``DET*`` — wall-clock, iteration-order, and hash-salt determinism;
 * ``FLT*`` — float-equality comparisons on coordinates/probabilities;
 * ``MUT*`` — mutable default arguments;
 * ``DOC*`` — docstring/annotation coverage of the public API;
@@ -19,6 +19,7 @@ from typing import Dict, List
 from repro.analysis.engine import Rule
 from repro.analysis.rules.budget import NoisePrimitiveOutsideCore, RedrawInLoop
 from repro.analysis.rules.determinism import (
+    BuiltinHashCall,
     SetIterationOrder,
     UnsortedDirectoryListing,
     WallClockCall,
@@ -53,6 +54,7 @@ def all_rules() -> List[Rule]:
         WallClockCall(),
         SetIterationOrder(),
         UnsortedDirectoryListing(),
+        BuiltinHashCall(),
         FloatEquality(),
         MutableDefaultArgument(),
         MissingDocstring(),

@@ -1,8 +1,8 @@
-"""Determinism rules (``DET001``–``DET003``).
+"""Determinism rules (``DET001``–``DET004``).
 
 Experiment outputs are archived and diffed bit-for-bit (worker-count
-invariance, CI smoke runs), so any wall-clock read or unordered
-iteration that feeds results breaks reproducibility.  Timing
+invariance, CI smoke runs), so any wall-clock read, unordered
+iteration, or salted hash that feeds results breaks reproducibility.  Timing
 *measurement* via ``time.perf_counter`` is deliberately allowed — it
 measures, it does not feed data.
 """
@@ -14,7 +14,12 @@ from typing import Iterator, Optional
 
 from repro.analysis.engine import FileContext, Finding, Rule
 
-__all__ = ["WallClockCall", "SetIterationOrder", "UnsortedDirectoryListing"]
+__all__ = [
+    "WallClockCall",
+    "SetIterationOrder",
+    "UnsortedDirectoryListing",
+    "BuiltinHashCall",
+]
 
 #: Wall-clock reads that leak the run's start time into results.
 WALL_CLOCK_ORIGINS = frozenset(
@@ -161,4 +166,42 @@ class UnsortedDirectoryListing(Rule):
                 node,
                 f"'{name}()' order is filesystem-dependent; wrap the call in "
                 "sorted(...)",
+            )
+
+
+class BuiltinHashCall(Rule):
+    """``DET004``: the built-in ``hash()`` outside ``__hash__``."""
+
+    id = "DET004"
+    name = "built-in hash() call"
+    rationale = (
+        "hash() of str/bytes is salted per interpreter (PYTHONHASHSEED), "
+        "so anything it routes, buckets, or orders changes from run to "
+        "run; use a stable digest such as zlib.crc32 or hashlib.  Only a "
+        "__hash__ implementation may call it."
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        """Flag un-shadowed ``hash(...)`` calls outside ``__hash__`` bodies."""
+        if ctx.role != "src":
+            return
+        for node in ast.walk(ctx.tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "hash"
+                and ctx.resolve(node.func) is None
+            ):
+                continue
+            if any(
+                isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and anc.name == "__hash__"
+                for anc in ctx.ancestors(node)
+            ):
+                continue
+            yield self.finding(
+                ctx,
+                node,
+                "built-in hash() is salted per interpreter; use a stable "
+                "digest (zlib.crc32, hashlib) for anything that feeds results",
             )

@@ -17,9 +17,8 @@ connected once a few hundred observations have accumulated.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -119,22 +118,6 @@ class DeobfuscationAttack(AttackerBase):
         """Canonical batch path: the locations only, in support order."""
         coords = self._check_request(coords, n)
         return [r.location for r in self._infer(coords, n)]
-
-    def infer_top1(self, observations: "np.ndarray | Sequence[CheckIn]") -> Optional[Point]:
-        """Deprecated: use ``estimate_xy(coords, 1)`` (Attacker protocol).
-
-        One-release shim for the pre-protocol duck-typed surface; also
-        still accepts check-in sequences, which the canonical path does
-        not.
-        """
-        warnings.warn(
-            "DeobfuscationAttack.infer_top1 is deprecated; use "
-            "estimate_xy(coords, 1) from the Attacker protocol",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        results = self.infer_top_locations(observations, 1)
-        return results[0].location if results else None
 
     def _as_coords(self, observations) -> np.ndarray:
         if isinstance(observations, np.ndarray):

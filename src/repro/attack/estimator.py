@@ -17,9 +17,8 @@ sufficient statistic again), and under planar Laplace noise it is
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -133,10 +132,8 @@ class MAPAttack(AttackerBase):
     candidate set is bound (at construction or via
     :meth:`with_candidates`): ``estimate_xy`` ranks the bound candidates
     by posterior given the coordinates, ``estimate(n)`` does the same
-    over the evidence buffer.  The pre-protocol ``estimate(observations,
-    candidates)`` spelling collided with the protocol's ``estimate(n)``;
-    it lives on as :meth:`map_candidate`, with a one-release dispatching
-    shim on ``estimate``.
+    over the evidence buffer.  Eq. 5 over an explicit candidate set is
+    :meth:`map_candidate`.
     """
 
     name = "map"
@@ -176,11 +173,7 @@ class MAPAttack(AttackerBase):
         candidates: Sequence[Point],
         prior: Optional[np.ndarray] = None,
     ) -> MAPEstimate:
-        """Run Eq. 5 with this attack's bound noise model.
-
-        (Renamed from ``estimate``, which the Attacker protocol now
-        claims for the evidence-buffer entry point.)
-        """
+        """Run Eq. 5 with this attack's bound noise model."""
         return map_estimate(observations, candidates, self._loglik, prior)
 
     def estimate_xy(self, coords: np.ndarray, n: int) -> List[Point]:
@@ -199,22 +192,3 @@ class MAPAttack(AttackerBase):
         _, posterior = map_estimate_xy(coords, cand_xy, self._loglik, self._prior)
         order = np.argsort(posterior)[::-1]
         return [self._candidates[int(i)] for i in order[:n]]
-
-    def estimate(self, *args: Any, **kwargs: Any) -> Any:
-        """Protocol ``estimate(n)``, plus the one-release legacy shim.
-
-        ``estimate(n)`` ranks the bound candidates against the evidence
-        buffer.  The legacy spelling ``estimate(observations,
-        candidates, prior=None)`` still works but warns; call
-        :meth:`map_candidate` instead.
-        """
-        if len(args) == 1 and not kwargs and isinstance(args[0], int):
-            return super().estimate(args[0])
-        warnings.warn(
-            "MAPAttack.estimate(observations, candidates) is deprecated; "
-            "use map_candidate(...) (the Attacker protocol claims "
-            "estimate(n))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.map_candidate(*args, **kwargs)

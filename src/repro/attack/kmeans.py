@@ -12,7 +12,6 @@ needs k as an input and (b) lets far-away nomadic noise drag centroids.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -167,24 +166,3 @@ class KMeansAttack(AttackerBase):
         return [
             Point(float(x), float(y)) for x, y in result.centroids[:n]
         ]
-
-    def infer_top_locations(self, observations: np.ndarray, n: int) -> List[Point]:
-        """Deprecated: use ``estimate_xy`` (Attacker protocol).  One-release shim."""
-        warnings.warn(
-            "KMeansAttack.infer_top_locations is deprecated; use "
-            "estimate_xy(coords, n) from the Attacker protocol",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.estimate_xy(observations, n)
-
-    def infer_top1(self, observations: np.ndarray) -> Optional[Point]:
-        """Deprecated: use ``estimate_xy(coords, 1)``.  One-release shim."""
-        warnings.warn(
-            "KMeansAttack.infer_top1 is deprecated; use "
-            "estimate_xy(coords, 1) from the Attacker protocol",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        tops = self.estimate_xy(observations, 1)
-        return tops[0] if tops else None

@@ -22,10 +22,11 @@ Subcommands::
     repro obs trace.jsonl --format prom         # Prometheus-style dump
 
 The work-running subcommands (``experiments``, ``simulate``, ``serve``,
-``attack``, ``verify``) share one option set: ``--workers N``, ``--cache/--no-cache``,
-``--seed S``, and ``--trace PATH`` (record a :mod:`repro.obs` trace,
-inspected with ``repro obs``).  Options that do not apply to a subcommand
-are accepted and ignored, so scripts can pass a uniform flag set.
+``fleet``, ``attack``, ``verify``) share ``--seed S`` and ``--trace PATH``
+(record a :mod:`repro.obs` trace, inspected with ``repro obs``).  The
+data-plane flags (``--workers N``, ``--cache/--no-cache``, ``--tier``,
+``--mmap``, ``--no-shm``, ``--cache-dir``) are registered only on the
+subcommands that honour them: ``experiments`` and ``fleet``.
 
 (Equivalent to ``python -m repro.cli ...``; also installed as the
 ``repro`` console script.)
@@ -39,8 +40,6 @@ import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
-
-import numpy as np
 
 __all__ = ["main", "build_parser"]
 
@@ -67,18 +66,11 @@ def _common_options() -> argparse.ArgumentParser:
 
     One parent parser (``parents=[...]``) keeps spelling, defaults, and
     help text identical across ``experiments``, ``simulate``, ``serve``,
-    ``fleet``, ``attack``, and ``verify``.  The data-plane flags
-    (``--workers``, ``--cache``, ``--tier``, ``--mmap``, ``--no-shm``,
-    ``--cache-dir``) come from :mod:`repro.data.plane`, so every
-    subcommand documents them identically and a handler turns them into
-    one :class:`~repro.data.plane.DataPlaneConfig`.  ``--seed`` defaults
-    to ``None`` so each handler can keep its historical fallback (0 for
+    ``fleet``, ``attack``, and ``verify``.  ``--seed`` defaults to
+    ``None`` so each handler can keep its historical fallback (0 for
     simulate, 11 for attack, the scale preset for experiments).
     """
-    from repro.data.plane import add_data_plane_arguments
-
     common = argparse.ArgumentParser(add_help=False)
-    add_data_plane_arguments(common)
     common.add_argument(
         "--seed",
         type=int,
@@ -96,6 +88,20 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
+def _data_plane_options() -> argparse.ArgumentParser:
+    """The data-plane flags, for the subcommands that build a ``DataPlaneConfig``.
+
+    The flags come from :mod:`repro.data.plane`, so ``experiments`` and
+    ``fleet`` document them identically and each handler turns them into
+    one :class:`~repro.data.plane.DataPlaneConfig`.
+    """
+    from repro.data.plane import add_data_plane_arguments
+
+    plane = argparse.ArgumentParser(add_help=False)
+    add_data_plane_arguments(plane)
+    return plane
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -103,9 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = _common_options()
+    plane = _data_plane_options()
 
     p_exp = sub.add_parser(
-        "experiments", help="regenerate paper tables/figures", parents=[common]
+        "experiments",
+        help="regenerate paper tables/figures",
+        parents=[common, plane],
     )
     p_exp.add_argument("ids", nargs="+", help="experiment ids or 'all'")
     p_exp.add_argument("--scale", default="small", choices=["small", "medium", "full"])
@@ -124,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--campaigns", type=int, default=200)
     p_sim.add_argument("--edges", type=int, default=4)
     p_sim.add_argument(
-        "--attack", action="store_true", help="also run the provider-side attack"
+        "--attack",
+        action="store_true",
+        help="also run the provider-side attack on the egress record",
     )
 
     p_srv = sub.add_parser(
@@ -194,14 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="run the serve workload under deterministic fault injection "
         "(see docs/fleet.md)",
-        parents=[common],
+        parents=[common, plane],
     )
     flt_sub = p_flt.add_subparsers(dest="fleet_command", required=True)
     p_flt_run = flt_sub.add_parser(
         "run",
         help="run one scenario (a built-in name or a YAML/JSON file) "
         "against the seeded serve workload",
-        parents=[common],
+        parents=[common, plane],
     )
     p_flt_run.add_argument(
         "scenario",
@@ -328,37 +339,31 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.attack import DeobfuscationAttack, evaluate_user, success_rate
-    from repro.core import GeoIndBudget, NFoldGaussianMechanism
-    from repro.datagen import PopulationConfig, generate_population, shanghai_planar_bbox
-    from repro.edge import EdgePrivLocAdSystem, SystemConfig, seed_campaigns
+    from repro.core import NFoldGaussianMechanism
+    from repro.datagen import PopulationConfig, generate_population
+    from repro.serve import TrafficSummary, attack_egress, run_population
 
     seed = args.seed if args.seed is not None else 0
     with _maybe_trace(args.trace):
         users = generate_population(
             PopulationConfig(n_users=args.users, seed=seed)
         )
-        system = EdgePrivLocAdSystem(
-            SystemConfig(n_edge_devices=args.edges, seed=seed)
+        report = run_population(
+            users, n_edges=args.edges, n_campaigns=args.campaigns, seed=seed
         )
-        rng = np.random.default_rng(seed)
-        system.register_campaigns(
-            seed_campaigns(shanghai_planar_bbox(), args.campaigns, 5_000.0, rng)
-        )
-        report = system.run(users)
-        print(f"requests served:       {report.requests}")
-        print(f"top-path share:        {report.top_path_share:.1%}")
-        print(f"ad relevance ratio:    {report.relevance_ratio:.1%}")
+        traffic = TrafficSummary.from_responses(report.responses)
+        print(f"requests served:       {traffic.requests}")
+        print(f"top-path share:        {traffic.top_path_share:.1%}")
+        print(f"ad relevance ratio:    {traffic.relevance_ratio:.1%}")
 
         if args.attack:
-            budget = GeoIndBudget(500.0, 1.0, 0.01, 10)
-            attack = DeobfuscationAttack.against(NFoldGaussianMechanism(budget))
-            findings = system.provider.attack_all(attack, top_n=1)
+            attack = DeobfuscationAttack.against(
+                NFoldGaussianMechanism(report.config.edge.budget)
+            )
+            inferred = attack_egress(report.responses, attack, 1)
             outcomes = [
-                evaluate_user(
-                    [i.location for i in findings[u.user_id].inferred],
-                    u.true_tops[:1],
-                )
-                for u in users
+                evaluate_user(inferred.get(i, []), u.true_tops[:1])
+                for i, u in enumerate(users)
             ]
             for threshold in (200.0, 500.0):
                 rate = success_rate(outcomes, 1, threshold)

@@ -2,12 +2,10 @@
 
 Mirror of :mod:`repro.core.mechanism`: just as every mechanism exposes
 the scalar/columnar ``obfuscate``/``obfuscate_batch`` pair, every
-attacker exposes one canonical surface instead of the ad-hoc
-``infer_top_locations``/``infer_top1`` duck typing the fig6/ablation
-drivers grew up with.
+attacker exposes one canonical surface.
 
-API stability — the canonical method pair
------------------------------------------
+The canonical method pair
+-------------------------
 
 The :class:`Attacker` protocol names the two entry points:
 
@@ -21,13 +19,10 @@ The :class:`Attacker` protocol names the two entry points:
 ``estimate`` must equal ``estimate_xy`` over the concatenated buffer —
 an attacker's conclusion depends on *what* it saw, never on how the
 observations were batched.  :class:`AttackerBase` implements the buffer
-plumbing so an attacker only writes ``estimate_xy``.
-
-The old driver-facing names served their one-release deprecation cycle
-starting with this module: ``infer_top1`` (and ``KMeansAttack``'s
-``infer_top_locations``) now forward here with a
-:class:`DeprecationWarning`; ``MAPAttack``'s candidate-set method was
-renamed ``map_candidate`` to free ``estimate`` for the protocol.
+plumbing so an attacker only writes ``estimate_xy``.  (The pre-protocol
+``infer_top1`` spellings and the two-argument ``MAPAttack.estimate``
+have been removed; ``MAPAttack.map_candidate`` is Eq. 5 over an
+explicit candidate set.)
 """
 
 from __future__ import annotations

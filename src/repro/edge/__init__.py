@@ -1,45 +1,24 @@
-"""The Edge-PrivLocAd system: clients, edge devices, provider, orchestration."""
+"""The Edge-PrivLocAd edge modules (paper Section V).
 
-from repro.edge.client import ClientStats, MobileClient
-from repro.edge.clock import (
-    SimulationClock,
-    TimeSource,
-    VirtualTimeSource,
-    WallTimeSource,
-)
-from repro.edge.device import EdgeConfig, EdgeDevice, EdgeServeResult
+Location management, the permanent obfuscation table, and output
+selection, plus risk assessment and secure profile merging.  The
+per-user pipeline that runs them is :class:`repro.serve.actor.UserActor`.
+"""
+
+from repro.edge.clock import TimeSource, VirtualTimeSource, WallTimeSource
 from repro.edge.location_management import DEFAULT_ETA, LocationManagementModule
 from repro.edge.obfuscation import ObfuscationModule, ObfuscationTable
 from repro.edge.output_selection import OutputSelectionModule
-from repro.edge.provider import AttackFinding, HonestButCuriousProvider
-from repro.edge.system import (
-    EdgePrivLocAdSystem,
-    SystemConfig,
-    SystemReport,
-    seed_campaigns,
-)
 
 __all__ = [
-    "EdgeConfig",
-    "EdgeDevice",
-    "EdgeServeResult",
     "LocationManagementModule",
     "DEFAULT_ETA",
     "ObfuscationModule",
     "ObfuscationTable",
     "OutputSelectionModule",
-    "MobileClient",
-    "ClientStats",
-    "HonestButCuriousProvider",
-    "AttackFinding",
-    "SimulationClock",
     "TimeSource",
     "WallTimeSource",
     "VirtualTimeSource",
-    "EdgePrivLocAdSystem",
-    "SystemConfig",
-    "SystemReport",
-    "seed_campaigns",
 ]
 
 from repro.edge.secure_merge import (

@@ -1,22 +1,15 @@
-"""Simulation and monotonic time for the edge: explicit, swappable clocks.
+"""Monotonic time for the edge: an explicit, swappable measurement clock.
 
-Two kinds of time live here:
-
-* :class:`SimulationClock` — the manual *event-time* clock shared by all
-  simulated participants.  Keeping event time explicit (rather than
-  reading the wall clock) makes the system simulation deterministic and
-  lets trace-driven runs jump through two years of check-ins in
-  milliseconds.
-* :class:`TimeSource` — the *measurement-time* seam.  Instrumented edge
-  code (pin latency, serve latency) needs a monotonic reading; taking it
-  straight from ``time.perf_counter()`` would make every latency
-  histogram depend on when and where the code ran.  A :class:`TimeSource`
-  makes the reading injectable: production paths use
-  :class:`WallTimeSource` (a thin ``perf_counter`` wrapper), while the
-  replay mode of :mod:`repro.serve` installs a :class:`VirtualTimeSource`
-  whose readings are a pure function of how many readings were taken —
-  so a ``--replay`` run's latency histograms are bit-identical no matter
-  the host, the shard count, or the scheduler.
+Instrumented edge code (pin latency, serve latency) needs a monotonic
+reading; taking it straight from ``time.perf_counter()`` would make every
+latency histogram depend on when and where the code ran.  A
+:class:`TimeSource` makes the reading injectable: production paths use
+:class:`WallTimeSource` (a thin ``perf_counter`` wrapper), while the
+replay mode of :mod:`repro.serve` installs a :class:`VirtualTimeSource`
+whose readings are a pure function of how many readings were taken —
+so a ``--replay`` run's latency histograms are bit-identical no matter
+the host, the shard count, or the scheduler.  Event time is not kept
+here: it comes from the check-in timestamps themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +17,6 @@ from __future__ import annotations
 import time
 
 __all__ = [
-    "SimulationClock",
     "TimeSource",
     "WallTimeSource",
     "VirtualTimeSource",
@@ -38,32 +30,6 @@ __all__ = [
 #: the same k-tick duration round differently at different absolute
 #: offsets, and replay histograms would stop being shard-count-invariant.
 DEFAULT_VIRTUAL_TICK = 2.0 ** -20
-
-
-class SimulationClock:
-    """Monotonically advancing simulated unix time."""
-
-    def __init__(self, start_ts: float = 0.0) -> None:
-        self._now = float(start_ts)
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    def advance_to(self, ts: float) -> None:
-        """Move the clock forward to ``ts`` (never backwards)."""
-        if ts < self._now:
-            raise ValueError(
-                f"clock cannot move backwards: {ts} < {self._now}"
-            )
-        self._now = float(ts)
-
-    def advance_by(self, seconds: float) -> None:
-        """Move the clock forward by a non-negative duration."""
-        if seconds < 0:
-            raise ValueError("cannot advance by a negative duration")
-        self._now += seconds
 
 
 class TimeSource:

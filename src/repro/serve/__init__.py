@@ -14,8 +14,14 @@ end-to-end latency, fleet-wide epsilon/delta spend).
 See ``docs/serving.md`` for the architecture and the replay recipe.
 """
 
-from repro.serve.actor import UserActor
-from repro.serve.egress import ServeResponse, encode_response, response_digest
+from repro.serve.actor import EdgeConfig, UserActor
+from repro.serve.egress import (
+    ServeResponse,
+    TrafficSummary,
+    attack_egress,
+    encode_response,
+    response_digest,
+)
 from repro.serve.events import (
     EventSchedule,
     ServeEvent,
@@ -26,6 +32,7 @@ from repro.serve.events import (
 from repro.serve.harness import (
     ServiceReport,
     bench_payload,
+    run_population,
     run_service,
     slo_report,
 )
@@ -35,6 +42,7 @@ from repro.serve.shard import ShardSpec, ShardState
 
 __all__ = [
     "BoundedIngressQueue",
+    "EdgeConfig",
     "EventSchedule",
     "ServeConfig",
     "ServeEvent",
@@ -45,11 +53,14 @@ __all__ = [
     "ServiceReport",
     "ShardSpec",
     "ShardState",
+    "TrafficSummary",
     "UserActor",
+    "attack_egress",
     "bench_payload",
     "build_schedule",
     "encode_response",
     "response_digest",
+    "run_population",
     "run_service",
     "shard_of_user",
     "slo_report",

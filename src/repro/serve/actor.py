@@ -1,9 +1,10 @@
 """The per-user actor: one user's entire edge state behind one mailbox.
 
-The batch :class:`~repro.edge.device.EdgeDevice` multiplexes many users
-over shared mechanisms and a shared RNG; that sharing is exactly what a
-sharded service cannot have, because which users land together on a
-shard depends on the shard count.  A :class:`UserActor` therefore owns
+This is the paper's Section V edge pipeline (location management, the
+pinned n-fold obfuscation table with output selection, the nomadic
+one-shot path), run per user.  An edge device serves many users, but
+which users land together on a shard depends on the shard count, so
+nothing may be shared between them: a :class:`UserActor` owns
 *everything* private to its user — profile windows, the permanent
 obfuscation table, the pin-state, the privacy ledger, the nomadic
 accountant, and the RNG — and seeds the RNG from
@@ -19,6 +20,7 @@ by one event at a time.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -26,15 +28,34 @@ import numpy as np
 from repro.core.accounting import LongitudinalExposureAccountant
 from repro.core.gaussian import GaussianMechanism, NFoldGaussianMechanism
 from repro.core.ledger import PrivacyLedger
+from repro.core.params import GeoIndBudget
 from repro.edge.clock import TimeSource, WallTimeSource
-from repro.edge.device import EdgeConfig
-from repro.edge.location_management import LocationManagementModule
+from repro.edge.location_management import DEFAULT_ETA, LocationManagementModule
 from repro.edge.obfuscation import ObfuscationModule
 from repro.edge.output_selection import OutputSelectionModule
 from repro.geo.point import Point
+from repro.metrics.utilization import DEFAULT_TARGETING_RADIUS_M
 from repro.profiles.checkin import CheckIn
+from repro.profiles.profile import DEFAULT_CONNECT_RADIUS_M
+from repro.profiles.windows import DEFAULT_WINDOW_DAYS
 
-__all__ = ["UserActor"]
+__all__ = ["EdgeConfig", "UserActor"]
+
+
+@dataclass(frozen=True)
+class EdgeConfig:
+    """Edge-pipeline settings shared by every user actor."""
+
+    budget: GeoIndBudget = GeoIndBudget(r=500.0, epsilon=1.0, delta=0.01, n=10)
+    eta: float = DEFAULT_ETA
+    window_days: float = DEFAULT_WINDOW_DAYS
+    connect_radius: float = DEFAULT_CONNECT_RADIUS_M
+    #: A check-in within this distance of a current top location is served
+    #: from the pinned candidate set.
+    match_radius: float = 100.0
+    #: Delivered ads must lie within this distance of the true location
+    #: (the edge's area-of-interest filter).
+    targeting_radius: float = DEFAULT_TARGETING_RADIUS_M
 
 
 class UserActor:

@@ -20,12 +20,22 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.ads.bidding import Ad
+from repro.core.attacker import Attacker
 from repro.geo.point import Point
 
-__all__ = ["ServeResponse", "build_response", "encode_response", "response_digest"]
+__all__ = [
+    "ServeResponse",
+    "TrafficSummary",
+    "attack_egress",
+    "build_response",
+    "encode_response",
+    "response_digest",
+]
 
 
 @dataclass(frozen=True)
@@ -109,3 +119,54 @@ def response_digest(responses: Iterable[ServeResponse]) -> str:
     for response in sorted(responses, key=lambda r: r.seq):
         hasher.update(encode_response(response))
     return hasher.hexdigest()
+
+
+@dataclass(frozen=True)
+class TrafficSummary:
+    """Serving counters over a run's responses (the utility view)."""
+
+    requests: int
+    ads_delivered: int
+    ads_received: int
+    top_path_requests: int
+
+    @classmethod
+    def from_responses(cls, responses: Iterable[ServeResponse]) -> "TrafficSummary":
+        """Count requests, delivered/received ads and pinned-path hits."""
+        requests = delivered = received = top = 0
+        for response in responses:
+            requests += 1
+            delivered += len(response.ads)
+            received += response.received
+            top += response.path == "top"
+        return cls(requests, delivered, received, top)
+
+    @property
+    def relevance_ratio(self) -> float:
+        """Share of network-returned ads that survived the AOI filter."""
+        return self.ads_delivered / self.ads_received if self.ads_received else 1.0
+
+    @property
+    def top_path_share(self) -> float:
+        """Share of requests served from the pinned top-location path."""
+        return self.top_path_requests / self.requests if self.requests else 0.0
+
+
+def attack_egress(
+    responses: Iterable[ServeResponse], attacker: Attacker, n: int = 1
+) -> Dict[int, List[Point]]:
+    """The provider's longitudinal attack on what crossed the trust boundary.
+
+    Groups the reported coordinates by ``user_index`` (in response
+    order) and runs ``attacker.estimate_xy`` on each user's stream;
+    returns up to ``n`` inferred locations per user seen in egress.
+    """
+    streams: Dict[int, List[Tuple[float, float]]] = {}
+    for response in responses:
+        streams.setdefault(response.user_index, []).append(
+            (response.reported_x, response.reported_y)
+        )
+    return {
+        user_index: attacker.estimate_xy(np.asarray(stream, dtype=float), n)
+        for user_index, stream in sorted(streams.items())
+    }

@@ -1,15 +1,17 @@
 """The serve workload: a seeded check-in/bid-request event schedule.
 
 Every event the service ingests is one user check-in that fires one LBA
-bid request — the same unit the batch simulator replays, but laid out as
-a flat, columnar schedule so the whole workload can ship to shard worker
-processes once (via :mod:`repro.parallel.shared`) and per-event messages
-stay as small as an integer index.
+bid request, laid out as a flat, columnar schedule so the whole workload
+can ship to shard worker processes once (via :mod:`repro.parallel.shared`)
+and per-event messages stay as small as an integer index.
 
-The schedule is a pure function of its :class:`ServeWorkloadConfig`:
-users come from the datagen mobility models with one
-``SeedSequence(entropy=seed, spawn_key=(user_index,))`` stream each, and
-the global event order is the timestamp-sorted merge of the per-user
+A schedule is built from per-user check-in traces
+(:meth:`EventSchedule.from_traces`): the global event order is the
+stable timestamp-sorted merge of the traces, so the schedule is a pure
+function of them.  :func:`build_schedule` generates the traces from a
+:class:`ServeWorkloadConfig` — users come from the datagen mobility
+models with one ``SeedSequence(entropy=seed, spawn_key=(user_index,))``
+stream each — and ``repro simulate`` passes a synthetic population's
 traces.  That purity is what replay mode's bit-identical digest rests
 on — any shard count consumes the same schedule in the same per-user
 order.
@@ -20,13 +22,14 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from repro.datagen.mobility import MobilityModel, TopLocation
 from repro.datagen.shanghai import STUDY_START_TS, shanghai_planar_bbox
 from repro.geo.point import Point
+from repro.profiles.checkin import CheckIn
 
 __all__ = [
     "ServeWorkloadConfig",
@@ -157,6 +160,41 @@ class EventSchedule:
         }
 
     @classmethod
+    def from_traces(
+        cls, user_ids: Sequence[str], traces: Iterable[Sequence[CheckIn]]
+    ) -> "EventSchedule":
+        """Merge per-user check-in traces into one schedule.
+
+        ``traces`` yields one trace per entry of ``user_ids`` (in that
+        order; a trace may be empty).  The global order is the stable
+        timestamp sort of the users' concatenated traces, so equal
+        timestamps keep user order and, within a user, trace order — the
+        merged schedule is reproducible even on ties.
+        """
+        user_idx: List[np.ndarray] = []
+        ts: List[np.ndarray] = []
+        xs: List[np.ndarray] = []
+        ys: List[np.ndarray] = []
+        for user_index, trace in enumerate(traces):
+            if not trace:
+                continue
+            user_idx.append(np.full(len(trace), user_index, dtype=np.int64))
+            ts.append(np.asarray([c.timestamp for c in trace], dtype=np.float64))
+            xs.append(np.asarray([c.point.x for c in trace], dtype=np.float64))
+            ys.append(np.asarray([c.point.y for c in trace], dtype=np.float64))
+        if not ts:
+            raise ValueError("a schedule needs at least one check-in")
+        ts_col = np.concatenate(ts)
+        order = np.argsort(ts_col, kind="stable")
+        return cls(
+            user_ids=list(user_ids),
+            user_index=np.concatenate(user_idx)[order],
+            timestamps=ts_col[order],
+            xs=np.concatenate(xs)[order],
+            ys=np.concatenate(ys)[order],
+        )
+
+    @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "EventSchedule":
         """Rebuild a schedule from a (possibly shm-imported) payload tree."""
         return cls(
@@ -223,39 +261,21 @@ def build_schedule(config: ServeWorkloadConfig) -> EventSchedule:
     Events are split as evenly as possible across users (the first
     ``n_events % n_users`` users get one extra), each user's check-ins
     are drawn from their own spawned RNG stream, and the global order is
-    the stable timestamp sort of the union.
+    the stable timestamp sort of the union (:meth:`EventSchedule.from_traces`).
     """
     base, extra = divmod(config.n_events, config.n_users)
-    user_ids: List[str] = []
-    all_user_idx: List[np.ndarray] = []
-    all_ts: List[np.ndarray] = []
-    all_x: List[np.ndarray] = []
-    all_y: List[np.ndarray] = []
-    for user_index in range(config.n_users):
-        model = _user_model(user_index, config)
-        user_ids.append(model.user_id)
+
+    def trace(user_index: int) -> List[CheckIn]:
         count = base + (1 if user_index < extra else 0)
         if count == 0:
-            continue
+            return []
+        model = _user_model(user_index, config)
         trace_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(1, user_index))
         )
-        trace = model.generate(count, config.start_ts, config.days, trace_rng)
-        all_user_idx.append(np.full(len(trace), user_index, dtype=np.int64))
-        all_ts.append(np.asarray([c.timestamp for c in trace], dtype=np.float64))
-        all_x.append(np.asarray([c.point.x for c in trace], dtype=np.float64))
-        all_y.append(np.asarray([c.point.y for c in trace], dtype=np.float64))
-    user_index_col = np.concatenate(all_user_idx)
-    ts_col = np.concatenate(all_ts)
-    x_col = np.concatenate(all_x)
-    y_col = np.concatenate(all_y)
-    # Stable sort: equal timestamps keep user order, so the merged
-    # schedule is reproducible even on ties.
-    order = np.argsort(ts_col, kind="stable")
-    return EventSchedule(
-        user_ids=user_ids,
-        user_index=user_index_col[order],
-        timestamps=ts_col[order],
-        xs=x_col[order],
-        ys=y_col[order],
+        return model.generate(count, config.start_ts, config.days, trace_rng)
+
+    return EventSchedule.from_traces(
+        workload_user_ids(config.n_users),
+        (trace(user_index) for user_index in range(config.n_users)),
     )

@@ -11,25 +11,34 @@ drop counts), and the fleet privacy audit
 (:class:`~repro.fleet.audit.FleetAudit`).  The ``repro serve`` and
 ``repro fleet`` CLI commands are thin wrappers over this function; the
 same reduction feeds the committed ``BENCH_serve.json`` consumed by
-``repro bench --compare``.
+``repro bench --compare``.  :func:`run_population` runs the same service
+over a synthetic population's traces — the ``repro simulate`` pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
+from repro.datagen.population import SyntheticUser
 from repro.fleet.scenario import Scenario
+from repro.obs import trace
 from repro.obs.metrics import Snapshot, quantile_from_histogram
 from repro.obs.rss import peak_rss_bytes
 from repro.serve.egress import ServeResponse
-from repro.serve.events import ServeWorkloadConfig
+from repro.serve.events import EventSchedule, ServeWorkloadConfig
 from repro.serve.service import ServeConfig, ServeResult, ServeService
 
 if TYPE_CHECKING:
     from repro.fleet.audit import FleetAudit
 
-__all__ = ["ServiceReport", "bench_payload", "run_service", "slo_report"]
+__all__ = [
+    "ServiceReport",
+    "bench_payload",
+    "run_population",
+    "run_service",
+    "slo_report",
+]
 
 
 @dataclass(frozen=True)
@@ -194,6 +203,40 @@ def run_service(
         dispatch_timeout_s=dispatch_timeout_s,
     )
     result = ServeService(config).run()
+    return ServiceReport(result=result, config=config)
+
+
+def run_population(
+    users: Sequence[SyntheticUser],
+    n_edges: int = 4,
+    n_campaigns: int = 200,
+    seed: int = 0,
+) -> ServiceReport:
+    """Replay a synthetic population's traces through the edge service.
+
+    Every check-in becomes one ad request; users are routed to
+    ``n_edges`` edge devices (shards) by the stable crc32 of their id,
+    and each user's state lives in one actor with its own spawn-keyed
+    RNG stream.  The run is inline replay, so the responses — and every
+    number derived from them — depend only on ``seed`` and the traces,
+    never on ``n_edges`` or the interpreter's hash salt.
+    """
+    schedule = EventSchedule.from_traces(
+        [u.user_id for u in users], (u.trace for u in users)
+    )
+    config = ServeConfig(
+        workload=ServeWorkloadConfig(
+            n_users=len(users),
+            n_events=len(schedule),
+            n_campaigns=n_campaigns,
+            seed=seed,
+        ),
+        n_shards=n_edges,
+        replay=True,
+        use_processes=False,
+    )
+    with trace.span("simulate", users=len(users), edges=n_edges):
+        result = ServeService(config, schedule=schedule).run()
     return ServiceReport(result=result, config=config)
 
 

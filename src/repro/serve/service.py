@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.edge.clock import DEFAULT_VIRTUAL_TICK
-from repro.edge.device import EdgeConfig
 from repro.fleet.scenario import NetworkHeal, NetworkPartition, Scenario
 from repro.obs import trace
 from repro.obs.fleet import (
@@ -51,6 +50,7 @@ from repro.obs.fleet import (
 )
 from repro.obs.metrics import MetricsRegistry, Snapshot
 from repro.parallel.shared import export_payload
+from repro.serve.actor import EdgeConfig
 from repro.serve.egress import ServeResponse, response_digest
 from repro.serve.events import EventSchedule, ServeWorkloadConfig, build_schedule
 from repro.serve.ingress import BoundedIngressQueue

@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ads.campaign import seed_campaigns
 from repro.ads.delivery import filter_ads_to_aoi
 from repro.ads.network import AdNetwork
 from repro.edge.clock import (
@@ -38,15 +39,13 @@ from repro.edge.clock import (
     VirtualTimeSource,
     WallTimeSource,
 )
-from repro.edge.device import EdgeConfig
-from repro.edge.system import seed_campaigns
 from repro.datagen.shanghai import shanghai_planar_bbox
 from repro.fleet.runtime import FleetShardRuntime
 from repro.fleet.scenario import Scenario
 from repro.obs import trace
 from repro.obs.metrics import Snapshot
 from repro.parallel.shared import import_payload
-from repro.serve.actor import UserActor
+from repro.serve.actor import EdgeConfig, UserActor
 from repro.serve.egress import ServeResponse, build_response
 from repro.serve.events import EventSchedule, shard_of_user
 
@@ -136,7 +135,6 @@ class ShardState:
                 spec.n_campaigns,
                 spec.campaign_radius_m,
                 np.random.default_rng(spec.seed),
-                deterministic_ids=True,
             )
         )
         self.actors: Dict[int, UserActor] = {}

@@ -27,6 +27,7 @@ EXPECTATIONS = {
     "bad_perf_scalar_loop.py": ("PERF001", 2),
     "bad_perf_csr_loop.py": ("PERF002", 2),
     "bad_perf_materialize.py": ("PERF003", 2),
+    "bad_salted_hash.py": ("DET004", 2),
 }
 
 #: Fixtures whose rule only applies inside a specific package get a
@@ -82,6 +83,7 @@ def test_clean_fixture_is_clean_under_all_rules():
         "bad_rng_nonlocal.py",
         "bad_budget_redraw.py",
         "bad_det_clock.py",
+        "bad_salted_hash.py",
         "bad_float_eq.py",
         "bad_docstring.py",
     ],
@@ -140,6 +142,33 @@ def test_det003_accepts_sorted_wrapper():
     rule = rules_by_id()["DET003"]
     findings, _ = analyze_source(src, Path("x.py"), [rule], role="src")
     assert findings == []
+
+
+def test_det004_exempts_hash_dunder_and_shadowed_names():
+    src = (
+        "from stable import hash\n"
+        "class Key:\n"
+        "    def __hash__(self) -> int:\n"
+        "        return hash((1, 2))\n"
+        "def route(uid: str) -> int:\n"
+        "    return hash(uid)\n"
+    )
+    rule = rules_by_id()["DET004"]
+    findings, _ = analyze_source(src, Path("x.py"), [rule], role="src")
+    assert findings == []
+
+
+def test_det004_flags_hash_nested_in_a_regular_method():
+    src = (
+        "class Router:\n"
+        "    def __hash__(self) -> int:\n"
+        "        return 0\n"
+        "    def route(self, uid: str) -> int:\n"
+        "        return hash(uid) % 4\n"
+    )
+    rule = rules_by_id()["DET004"]
+    findings, _ = analyze_source(src, Path("x.py"), [rule], role="src")
+    assert [(f.rule, f.line) for f in findings] == [("DET004", 5)]
 
 
 def test_perf003_only_applies_to_experiment_modules():

@@ -70,3 +70,20 @@ def test_committed_baseline_carries_no_stale_allowance():
     findings, _, _ = analyze_paths([SRC], all_rules(), root=REPO_ROOT)
     stale = stale_entries(load_baseline(BASELINE), findings)
     assert stale == {}, f"stale baseline entries: {stale}"
+
+
+def test_edge_entry_rests_on_the_actor_release_summary():
+    """The policy treats ``run_population`` as a clean edge entry because
+    every report leaves through ``UserActor.handle_checkin``: its result
+    must depend on no raw argument (only the actor's own state, ``p0``),
+    and it must charge the ledger/accountant for what it releases."""
+    from repro.analysis.dataflow.policy import default_policy
+    from repro.analysis.dataflow.project import Project
+    from repro.analysis.dataflow.taint import TaintAnalysis
+
+    analysis = TaintAnalysis(Project.load([SRC], root=REPO_ROOT))
+    analysis.run()
+    summary = analysis.summary("repro.serve.actor.UserActor.handle_checkin")
+    assert summary.returns <= {"p0"}
+    assert summary.charges
+    assert default_policy().is_edge_entry("repro.serve.harness.run_population")

@@ -1,13 +1,12 @@
-"""The stable ``Attacker`` protocol and its one-release deprecation shims.
+"""The stable ``Attacker`` protocol.
 
 Every longitudinal attacker — Algorithm 1, the k-means baseline, the
 temporal refinement, and the MAP estimator — satisfies the
 ``repro.core.Attacker`` protocol: an ``observe``/``estimate`` evidence
 pair plus the ``estimate_xy`` batch fast path.  The pre-protocol
 duck-typed spellings (``infer_top1``, ``infer_top_locations`` on
-k-means, positional ``MAPAttack.estimate``) survive for one release
-behind ``DeprecationWarning`` shims that must return bit-identical
-results.
+k-means, positional ``MAPAttack.estimate``) served their one release
+and are gone; these tests pin their absence.
 """
 
 import math
@@ -79,27 +78,15 @@ class TestProtocolConformance:
             _alg1().estimate_xy(np.zeros((4, 3)), 1)
 
 
-class TestDeprecationShims:
-    def test_deobfuscation_infer_top1_warns_and_matches(self, rng):
-        coords = _coords(rng)
-        fresh = _alg1().estimate_xy(coords, 1)
-        with pytest.warns(DeprecationWarning, match="infer_top1"):
-            legacy = _alg1().infer_top1(coords)
-        assert legacy is not None
-        assert (legacy.x, legacy.y) == (fresh[0].x, fresh[0].y)
+class TestRemovedShims:
+    def test_deobfuscation_infer_top1_is_gone(self):
+        assert not hasattr(DeobfuscationAttack, "infer_top1")
+        # The detailed API with support/trim statistics stays.
+        assert hasattr(DeobfuscationAttack, "infer_top_locations")
 
-    def test_kmeans_shims_warn_and_match(self, rng):
-        coords = _coords(rng)
-        fresh = KMeansAttack(k=3, rng=default_rng(5)).estimate_xy(coords, 2)
-        with pytest.warns(DeprecationWarning, match="infer_top_locations"):
-            legacy = KMeansAttack(k=3, rng=default_rng(5)).infer_top_locations(
-                coords, 2
-            )
-        assert [(p.x, p.y) for p in legacy] == [(p.x, p.y) for p in fresh]
-        with pytest.warns(DeprecationWarning, match="infer_top1"):
-            top1 = KMeansAttack(k=3, rng=default_rng(5)).infer_top1(coords)
-        assert top1 is not None
-        assert (top1.x, top1.y) == (fresh[0].x, fresh[0].y)
+    def test_kmeans_shims_are_gone(self):
+        assert not hasattr(KMeansAttack, "infer_top_locations")
+        assert not hasattr(KMeansAttack, "infer_top1")
 
 
 class TestMAPAttackDispatch:
@@ -116,14 +103,11 @@ class TestMAPAttackDispatch:
         with pytest.raises(ValueError, match="candidate set"):
             MAPAttack.gaussian(sigma=100.0).estimate_xy(_coords(rng), 1)
 
-    def test_legacy_positional_estimate_warns(self, rng):
+    def test_legacy_positional_estimate_is_gone(self, rng):
         coords = _coords(rng)
         candidates = [Point(100.0, 200.0), Point(500.0, 500.0)]
         observations = [Point(float(x), float(y)) for x, y in coords]
         attacker = MAPAttack.gaussian(sigma=100.0)
-        with pytest.warns(DeprecationWarning, match="map_candidate"):
-            legacy = attacker.estimate(observations, candidates)
-        assert legacy.index == 0
-        fresh = attacker.map_candidate(observations, candidates)
-        assert fresh.index == legacy.index
-        assert np.array_equal(fresh.posterior, legacy.posterior)
+        with pytest.raises(TypeError):
+            attacker.estimate(observations, candidates)
+        assert attacker.map_candidate(observations, candidates).index == 0

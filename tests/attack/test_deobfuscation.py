@@ -36,8 +36,7 @@ class TestInference:
         truth = np.array([1000.0, -500.0])
         obs = noisy_cloud(truth, 400, 50.0, rng)
         attack = DeobfuscationAttack(theta=60.0, r_alpha=150.0)
-        top1 = attack.infer_top1(obs)
-        assert top1 is not None
+        (top1,) = attack.estimate_xy(obs, 1)
         assert top1.distance_to(Point(*truth)) < 20.0
 
     def test_recovers_two_locations_in_rank_order(self, rng):
@@ -55,7 +54,7 @@ class TestInference:
         obs = noisy_cloud(np.array([0.0, 0.0]), 100, 10.0, rng)
         checkins = [CheckIn(float(i), Point(*row)) for i, row in enumerate(obs)]
         attack = DeobfuscationAttack(theta=20.0, r_alpha=40.0)
-        assert attack.infer_top1(checkins) is not None
+        assert len(attack.infer_top_locations(checkins, 1)) == 1
 
     def test_pool_exhaustion_returns_fewer(self, rng):
         obs = noisy_cloud(np.array([0.0, 0.0]), 30, 5.0, rng)
@@ -66,7 +65,7 @@ class TestInference:
     def test_empty_observations(self):
         attack = DeobfuscationAttack(theta=10.0, r_alpha=20.0)
         assert attack.infer_top_locations(np.empty((0, 2)), 2) == []
-        assert attack.infer_top1(np.empty((0, 2))) is None
+        assert attack.estimate_xy(np.empty((0, 2)), 1) == []
 
     def test_bad_n_raises(self):
         attack = DeobfuscationAttack(theta=10.0, r_alpha=20.0)
@@ -96,8 +95,8 @@ class TestInference:
         without_trim = DeobfuscationAttack(
             theta=150.0, r_alpha=300.0, use_trimming=False
         )
-        err_with = with_trim.infer_top1(obs).distance_to(Point(0, 0))
-        err_without = without_trim.infer_top1(obs).distance_to(Point(0, 0))
+        err_with = with_trim.estimate_xy(obs, 1)[0].distance_to(Point(0, 0))
+        err_without = without_trim.estimate_xy(obs, 1)[0].distance_to(Point(0, 0))
         # The merged no-trim cluster is dragged toward the second blob.
         assert err_without > err_with
 
@@ -109,5 +108,5 @@ class TestInference:
         truth = np.tile([2_000.0, 2_000.0], (500, 1))
         observed = mechanism.obfuscate_batch(truth)
         attack = DeobfuscationAttack.against(mechanism)
-        top1 = attack.infer_top1(observed)
+        (top1,) = attack.estimate_xy(observed, 1)
         assert top1.distance_to(Point(2_000, 2_000)) < 100.0

@@ -21,12 +21,12 @@ class TestGaussianMAP:
             for dx, dy in rng.normal(0, 20, (200, 2))
         ]
         attack = MAPAttack.gaussian(sigma=20.0)
-        est = attack.estimate(observations, candidates)
+        est = attack.map_candidate(observations, candidates)
         assert est.candidate == truth
 
     def test_posterior_sums_to_one(self, rng):
         attack = MAPAttack.gaussian(sigma=10.0)
-        est = attack.estimate(
+        est = attack.map_candidate(
             [Point(0, 0)], [Point(0, 0), Point(5, 0), Point(10, 0)]
         )
         assert est.posterior.sum() == pytest.approx(1.0)
@@ -37,8 +37,8 @@ class TestGaussianMAP:
         sigma = 100.0
         attack = MAPAttack.gaussian(sigma=sigma)
         obs = [Point(*row) for row in rng.normal(0, sigma, (500, 2))]
-        few = attack.estimate(obs[:5], candidates)
-        many = attack.estimate(obs, candidates)
+        few = attack.map_candidate(obs[:5], candidates)
+        many = attack.map_candidate(obs, candidates)
         assert many.posterior.max() >= few.posterior.max() - 0.05
 
     def test_prior_shifts_decision(self):
@@ -67,7 +67,7 @@ class TestLaplaceMAP:
             for dx, dy in rng.laplace(0, 50, (300, 2))
         ]
         attack = MAPAttack.laplace(epsilon=0.02)
-        assert attack.estimate(observations, candidates).candidate == truth
+        assert attack.map_candidate(observations, candidates).candidate == truth
 
 
 class TestValidation:

@@ -61,7 +61,7 @@ class TestKMeansAttack:
     def test_top1_is_biggest_blob(self, rng):
         pts = blobs(rng, [(0, 0), (5_000, 0)], [200, 50], scale=30.0)
         attack = KMeansAttack(k=4, rng=rng)
-        top1 = attack.infer_top1(pts)
+        (top1,) = attack.estimate_xy(pts, 1)
         assert top1.distance_to(Point(0, 0)) < 50.0
 
     def test_top2_cover_both_blobs(self, rng):
@@ -73,20 +73,20 @@ class TestKMeansAttack:
         """
         pts = blobs(rng, [(0, 0), (5_000, 0)], [200, 100], scale=30.0)
         attack = KMeansAttack(k=2, rng=rng)
-        tops = attack.infer_top_locations(pts, 2)
+        tops = attack.estimate_xy(pts, 2)
         assert tops[0].distance_to(Point(0, 0)) < 60.0
         assert tops[1].distance_to(Point(5_000, 0)) < 60.0
 
     def test_empty_observations(self):
-        assert KMeansAttack().infer_top1(np.empty((0, 2))) is None
+        assert KMeansAttack().estimate_xy(np.empty((0, 2)), 1) == []
 
     def test_fewer_points_than_k(self, rng):
         pts = rng.uniform(0, 10, (3, 2))
-        tops = KMeansAttack(k=8, rng=rng).infer_top_locations(pts, 1)
+        tops = KMeansAttack(k=8, rng=rng).estimate_xy(pts, 1)
         assert len(tops) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             KMeansAttack(k=0)
         with pytest.raises(ValueError):
-            KMeansAttack().infer_top_locations(np.zeros((5, 2)), 0)
+            KMeansAttack().estimate_xy(np.zeros((5, 2)), 0)

@@ -1,81 +1,68 @@
-"""Unit tests for the edge device's adaptive risk policy."""
+"""Unit tests for the edge's risk-adaptive protection policy.
+
+The policy (paper Section I: "assess the risk ... and adopt the
+appropriate LPPM") is evaluated in ``repro.experiments.ext_adaptive``:
+users the risk assessment flags get the permanent n-fold treatment,
+low-risk users keep one-time noise.
+"""
+
+from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
-from repro.ads.network import AdNetwork
-from repro.core.params import GeoIndBudget
-from repro.edge.device import EdgeConfig, EdgeDevice
+from repro.core.accounting import LongitudinalExposureAccountant
+from repro.edge.risk import RiskAssessor
+from repro.experiments.ext_adaptive import _report_stream
 from repro.geo.point import Point
-from repro.profiles.checkin import SECONDS_PER_DAY
+from repro.profiles.checkin import SECONDS_PER_DAY, CheckIn
 
 
 DAY = SECONDS_PER_DAY
 HOME = Point(0.0, 0.0)
 
 
-def make_device(adaptive, window_days=10.0):
-    return EdgeDevice(
-        "edge-a",
-        AdNetwork(),
-        EdgeConfig(
-            budget=GeoIndBudget(500.0, 1.0, 0.01, 10),
-            window_days=window_days,
-            adaptive=adaptive,
-            seed=5,
-        ),
+def routine_user(days=12, per_day=30):
+    """A heavily routine user: hundreds of check-ins at one location."""
+    return SimpleNamespace(
+        trace=[
+            CheckIn(day * DAY + k * (DAY / per_day), HOME)
+            for day in range(days)
+            for k in range(per_day)
+        ]
     )
 
 
-def routine_stream(device, user_id, days=12, per_day=30):
-    """A heavily routine user: hundreds of check-ins at one location."""
-    for day in range(days):
-        for k in range(per_day):
-            device.choose_report_location(
-                user_id, HOME, day * DAY + k * (DAY / per_day)
-            )
-
-
-def diffuse_stream(device, user_id, rng, days=12, per_day=2):
+def diffuse_user(rng, days=12, per_day=2):
     """A light, diffuse user: few check-ins, all over the city."""
-    t = 0.0
-    for day in range(days):
-        for k in range(per_day):
-            p = Point(*rng.uniform(-20_000, 20_000, 2))
-            device.choose_report_location(user_id, p, t)
-            t += DAY / per_day
+    return SimpleNamespace(
+        trace=[
+            CheckIn(i * DAY / per_day, Point(*rng.uniform(-20_000, 20_000, 2)))
+            for i in range(days * per_day)
+        ]
+    )
+
+
+def report(user, policy):
+    return _report_stream(
+        user, policy, RiskAssessor(), seed=5, accountant=LongitudinalExposureAccountant()
+    )
 
 
 class TestAdaptiveDevice:
     def test_routine_user_gets_pinned(self):
-        device = make_device(adaptive=True)
-        routine_stream(device, "commuter")
-        state = device.state_for("commuter")
-        assert state.protect
-        assert state.obfuscation.obfuscation_count >= 1
+        _, permanent = report(routine_user(), "adaptive")
+        assert permanent
 
     def test_diffuse_user_stays_unpinned(self):
-        device = make_device(adaptive=True)
-        rng = np.random.default_rng(3)
-        diffuse_stream(device, "wanderer", rng)
-        device.finalize_user("wanderer")
-        state = device.state_for("wanderer")
-        assert not state.protect
-        assert state.obfuscation.obfuscation_count == 0
+        _, permanent = report(diffuse_user(np.random.default_rng(3)), "adaptive")
+        assert not permanent
 
     def test_non_adaptive_pins_everyone(self):
-        device = make_device(adaptive=False)
-        rng = np.random.default_rng(3)
-        diffuse_stream(device, "wanderer", rng)
-        device.finalize_user("wanderer")
-        state = device.state_for("wanderer")
-        assert state.protect
-        assert state.obfuscation.obfuscation_count >= 1
+        _, permanent = report(diffuse_user(np.random.default_rng(3)), "all permanent")
+        assert permanent
 
     def test_adaptive_routine_user_served_from_pins(self):
-        device = make_device(adaptive=True)
-        routine_stream(device, "commuter")
-        reported, path = device.choose_report_location(
-            "commuter", HOME, 100 * DAY
-        )
-        assert path == "top"
+        stream, _ = report(routine_user(), "adaptive")
+        # Every check-in is at HOME, a top location: the reports are draws
+        # from its pinned n-candidate set (n = 10), never fresh noise.
+        assert len({(c.x, c.y) for c in stream}) <= 10

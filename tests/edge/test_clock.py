@@ -1,41 +1,13 @@
-"""Unit tests for the simulation clock and the measurement-time seam."""
+"""Unit tests for the measurement-time seam."""
 
 import pytest
 
 from repro.edge.clock import (
     DEFAULT_VIRTUAL_TICK,
-    SimulationClock,
     TimeSource,
     VirtualTimeSource,
     WallTimeSource,
 )
-
-
-class TestSimulationClock:
-    def test_starts_at_given_time(self):
-        assert SimulationClock(100.0).now == 100.0
-
-    def test_advance_to(self):
-        clock = SimulationClock()
-        clock.advance_to(50.0)
-        assert clock.now == 50.0
-
-    def test_advance_by(self):
-        clock = SimulationClock(10.0)
-        clock.advance_by(5.0)
-        assert clock.now == 15.0
-
-    def test_no_backwards_travel(self):
-        clock = SimulationClock(100.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(50.0)
-        with pytest.raises(ValueError):
-            clock.advance_by(-1.0)
-
-    def test_advance_to_same_time_ok(self):
-        clock = SimulationClock(100.0)
-        clock.advance_to(100.0)
-        assert clock.now == 100.0
 
 
 class TestTimeSources:

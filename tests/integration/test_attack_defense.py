@@ -94,7 +94,7 @@ class TestPermanentDefenseHolds:
             CheckIn(c.timestamp, selector.select(mech.obfuscate(c.point)))
             for c in user.trace
         ]
-        top1 = attack.infer_top1(reported)
+        top1 = attack.infer_top_locations(reported, 1)[0].location
         err_broken = top1.distance_to(user.true_tops[0])
 
         # Correct permanent deployment on the same user.
@@ -102,7 +102,7 @@ class TestPermanentDefenseHolds:
         tops = eta_frequent_set(profile, 0.8)
         pinned = permanent_obfuscate(user.trace, tops, mech, selector)
         attack2 = DeobfuscationAttack.against(mech)
-        top1_pinned = attack2.infer_top1(pinned)
+        top1_pinned = attack2.infer_top_locations(pinned, 1)[0].location
         err_pinned = top1_pinned.distance_to(user.true_tops[0])
 
         assert err_broken < err_pinned

@@ -65,7 +65,7 @@ class TestRestartWithPersistence:
             assert len({(p.x, p.y) for p in reports}) <= 10
             attack = DeobfuscationAttack.against(mechanism)
             coords = np.array([(p.x, p.y) for p in reports])
-            guess = attack.infer_top1(coords)
+            (guess,) = attack.estimate_xy(coords, 1)
             errors.append(guess.distance_to(HOME))
         assert np.median(errors) > 500.0
 

@@ -18,13 +18,25 @@ class TestSharedOptionSet:
         ],
     )
     def test_every_work_subcommand_accepts_common_flags(self, argv):
-        args = build_parser().parse_args(
-            argv + ["--workers", "2", "--cache", "--seed", "3", "--trace", "t.jsonl"]
-        )
-        assert args.workers == 2
-        assert args.cache is True
+        args = build_parser().parse_args(argv + ["--seed", "3", "--trace", "t.jsonl"])
         assert args.seed == 3
         assert args.trace == "t.jsonl"
+
+    @pytest.mark.parametrize(
+        "argv", [["experiments", "table1"], ["fleet", "run", "churn10"]]
+    )
+    def test_data_plane_subcommands_accept_its_flags(self, argv):
+        args = build_parser().parse_args(argv + ["--workers", "2", "--cache", "--no-shm"])
+        assert args.workers == 2
+        assert args.cache is True
+        assert args.no_shm is True
+
+    @pytest.mark.parametrize("command", ["simulate", "serve", "attack", "verify"])
+    def test_subcommands_without_a_data_plane_reject_its_flags(self, command):
+        """No flag is accepted and then ignored: --workers is a usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--workers", "2"])
+        assert exit_info.value.code == 2
 
     def test_no_cache_spelling_kept(self):
         args = build_parser().parse_args(["experiments", "table1", "--no-cache"])
@@ -82,8 +94,8 @@ class TestTracedCommands:
         from repro.obs.render import read_trace
 
         trace = read_trace(str(path))
-        assert any(s.name == "edge.run" for s in trace.spans)
-        assert trace.metrics["counters"]["edge.requests"] > 0
+        assert any(s.name == "simulate" for s in trace.spans)
+        assert trace.metrics["counters"]["serve.events"] > 0
 
     def test_experiments_forwards_seed_and_trace(self, tmp_path, capsys):
         path = tmp_path / "fig9.jsonl"

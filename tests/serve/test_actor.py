@@ -3,8 +3,7 @@
 import numpy as np
 
 from repro.edge.clock import VirtualTimeSource
-from repro.edge.device import EdgeConfig
-from repro.serve.actor import UserActor
+from repro.serve.actor import EdgeConfig, UserActor
 from repro.serve.events import ServeWorkloadConfig, build_schedule
 
 

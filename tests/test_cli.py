@@ -1,5 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -35,6 +40,22 @@ class TestSimulateCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "attack success" in out
+
+    def test_output_independent_of_hash_seed_and_edge_count(self):
+        """Stdout depends only on the seed and inputs: never on the
+        interpreter's str-hash salt or on how many edges serve the users."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        outputs = set()
+        for hash_seed, edges in (("1", "1"), ("2", "1"), ("1", "3"), ("2", "3")):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "simulate", "--users", "3",
+                 "--campaigns", "20", "--attack", "--edges", edges],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        assert b"attack success" in outputs.pop()
 
 
 class TestAttackCommand:

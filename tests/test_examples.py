@@ -28,6 +28,11 @@ def test_examples_exist():
     assert len(EXAMPLE_FILES) >= 3
 
 
+# An example that calls a deprecated repro API fails here.  The filter is
+# scoped to warnings attributed to the examples themselves (loaded as
+# ``example_<stem>``) and to repro modules, so third-party import-time
+# deprecations cannot trip it.
+@pytest.mark.filterwarnings("error::DeprecationWarning:(example_|repro)")
 @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.stem)
 def test_example_runs(path, capsys):
     module = load_example(path)
