@@ -17,9 +17,8 @@ The default policy encodes the paper's trust boundary:
   emission, cache artifacts, stdout/file writes;
 * **charges** — ledger/accountant calls that pay for a release;
 * **declassifiers** — aggregations whose output no longer identifies a
-  location (distances, entropies, attack metrics);
-* **edge entries** — edge-service entry points that take raw traces and
-  return only what the per-user actors released.
+  location (distances, entropies, attack metrics) or carries only what
+  the edge service released (``run_population``).
 """
 
 from __future__ import annotations
@@ -171,22 +170,20 @@ class FlowPolicy:
         {"distance_to", "entropy", "hexdigest", "digest"}
     )
     declassifier_prefixes: Tuple[str, ...] = ("repro.metrics.",)
+    #: ``run_population`` takes raw traces and returns the edge service's
+    #: egress record.  Each response field comes from a trusted edge step
+    #: whose summary ``tests/analysis/test_selfcheck.py`` pins: the
+    #: reported point from ``UserActor.handle_checkin`` (depends on no raw
+    #: argument, charges the ledger/accountant); the delivered-ad ids and
+    #: received count from the auction on that reported point, narrowed by
+    #: the AOI filter on the true point — the trusted edge-side filter,
+    #: whose selection goes to the user's own device, not the provider.
     declassifier_functions: FrozenSet[str] = frozenset(
         {
             "repro.attack.success.evaluate_user",
             "repro.attack.success.success_rate",
+            "repro.serve.harness.run_population",
         }
-    )
-
-    # -- edge entries ------------------------------------------------------
-    #: Entry points of the edge service: raw traces go in, and what comes
-    #: out is the egress record (obfuscated reports) plus counters.  Every
-    #: report is released inside ``UserActor.handle_checkin``, whose
-    #: summary is pinned by the flow tests (its result depends on no raw
-    #: argument, and it charges the ledger/accountant), so an entry call
-    #: is clean and owes no charge of its own.
-    edge_entry_functions: FrozenSet[str] = frozenset(
-        {"repro.serve.harness.run_population"}
     )
 
     # -- parallel boundary -------------------------------------------------
@@ -277,10 +274,6 @@ class FlowPolicy:
         if qname in self.declassifier_calls or qname in self.declassifier_functions:
             return True
         return any(qname.startswith(p) for p in self.declassifier_prefixes)
-
-    def is_edge_entry(self, qname: Optional[str]) -> bool:
-        """Whether a resolved callee is an edge-service entry point."""
-        return qname is not None and qname in self.edge_entry_functions
 
     def is_parallel_map(self, qname: Optional[str]) -> bool:
         """Whether a resolved callee is the process-pool fan-out."""

@@ -502,7 +502,7 @@ class _Walker:
             return self._eval_parallel_map(event, env)
 
         # Result taint, in policy-priority order.
-        if event.is_sanitizer or any(policy.is_edge_entry(n) for n in names):
+        if event.is_sanitizer:
             return BOTTOM
         if site.constructed is None and any(policy.is_source(n) for n in names):
             return frozenset({RAW})

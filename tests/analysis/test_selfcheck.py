@@ -72,18 +72,46 @@ def test_committed_baseline_carries_no_stale_allowance():
     assert stale == {}, f"stale baseline entries: {stale}"
 
 
-def test_edge_entry_rests_on_the_actor_release_summary():
-    """The policy treats ``run_population`` as a clean edge entry because
-    every report leaves through ``UserActor.handle_checkin``: its result
-    must depend on no raw argument (only the actor's own state, ``p0``),
-    and it must charge the ledger/accountant for what it releases."""
+def test_run_population_declassification_rests_on_the_edge_summaries():
+    """The policy declassifies ``run_population`` because every field of
+    the egress record it returns comes from a trusted edge step:
+
+    * ``reported_x``/``reported_y`` — ``UserActor.handle_checkin``, whose
+      result depends on no raw argument (only the actor's state, ``p0``)
+      and which charges the ledger/accountant;
+    * ``ads``/``received`` — the auction on that reported point, narrowed
+      by ``filter_ads_to_aoi``, whose result is drawn from its ads
+      argument (``p0``) only; the true point merely selects among them,
+      on the edge, for the user's own device;
+    * ``seq``/``user_index``/``path`` — ``ShardState._handle_event``
+      returns nothing raw (only its own state and ``seq``), and
+      ``build_response`` copies its arguments and reaches no sink.
+
+    A new response field would need its own entry in this list."""
+    import dataclasses
+
+    from repro.analysis.dataflow.lattice import RAW
     from repro.analysis.dataflow.policy import default_policy
     from repro.analysis.dataflow.project import Project
     from repro.analysis.dataflow.taint import TaintAnalysis
+    from repro.serve.egress import ServeResponse
 
     analysis = TaintAnalysis(Project.load([SRC], root=REPO_ROOT))
     analysis.run()
-    summary = analysis.summary("repro.serve.actor.UserActor.handle_checkin")
-    assert summary.returns <= {"p0"}
-    assert summary.charges
-    assert default_policy().is_edge_entry("repro.serve.harness.run_population")
+    actor = analysis.summary("repro.serve.actor.UserActor.handle_checkin")
+    assert actor.returns <= {"p0"}
+    assert actor.charges
+    aoi = analysis.summary("repro.ads.delivery.filter_ads_to_aoi")
+    assert aoi.returns <= {"p0"}
+    handle = analysis.summary("repro.serve.shard.ShardState._handle_event")
+    assert RAW not in handle.returns
+    assert handle.returns <= {"p0", "p1"}
+    build = analysis.summary("repro.serve.egress.build_response")
+    assert RAW not in build.returns
+    assert build.sink_params == {}
+    assert [f.name for f in dataclasses.fields(ServeResponse)] == [
+        "seq", "user_index", "path", "reported_x", "reported_y", "ads", "received",
+    ]
+    assert default_policy().is_declassifier(
+        "repro.serve.harness.run_population", None
+    )
