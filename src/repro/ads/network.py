@@ -11,7 +11,7 @@ attacker) sees.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.ads.bidding import Ad, BidLog, BidLogRecord, BidRequest, BidResponse
 from repro.ads.campaign import Campaign

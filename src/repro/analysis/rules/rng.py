@@ -9,7 +9,7 @@ count.  Global/legacy RNG state breaks that contract silently.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Set
 
 from repro.analysis.engine import FileContext, Finding, Rule, dotted_chain
 

@@ -9,7 +9,7 @@ spatial index, so clustering a year of check-ins stays near-linear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 

@@ -13,7 +13,7 @@ needs k as an input and (b) lets far-away nomadic noise drag centroids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -125,10 +125,16 @@ class OutputSelector(abc.ABC):
     def probabilities(self, candidates: Sequence[Point]) -> np.ndarray:
         """Selection distribution over the candidates."""
 
-    def select(self, candidates: Sequence[Point]) -> Point:
-        """Sample one candidate according to :meth:`probabilities`."""
+    def select(
+        self, candidates: Sequence[Point], weights: Optional[np.ndarray] = None
+    ) -> Point:
+        """Sample one candidate according to :meth:`probabilities`.
+
+        ``weights`` may carry the set's precomputed :meth:`probabilities`
+        (a pinned set's never change); the draw is identical either way.
+        """
         candidates = list(candidates)
-        probs = self.probabilities(candidates)
+        probs = self.probabilities(candidates) if weights is None else weights
         idx = int(self._rng.choice(len(candidates), p=probs))
         return candidates[idx]
 

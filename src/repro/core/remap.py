@@ -23,7 +23,7 @@ the n-fold permanent release helps longitudinal privacy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 

@@ -14,7 +14,6 @@ the distribution's radial marginal, sampled by inverting its CDF.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 from scipy.special import lambertw

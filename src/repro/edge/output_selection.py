@@ -34,12 +34,17 @@ class OutputSelectionModule:
         """The paper's default: posterior-weighted sampling at noise scale sigma."""
         return cls(PosteriorSelector(sigma, rng=rng))
 
-    def select(self, candidates: Sequence[Point]) -> Point:
-        """Draw the location to report for one ad request."""
+    def select(
+        self, candidates: Sequence[Point], weights: Optional[np.ndarray] = None
+    ) -> Point:
+        """Draw the location to report for one ad request.
+
+        ``weights``: the set's precomputed selection distribution, if any.
+        """
         self.selection_count += 1
         if _obs_enabled():
             _obs_registry().counter("edge.selection.requests").inc()
-        return self.selector.select(candidates)
+        return self.selector.select(candidates, weights)
 
     def select_batch(self, candidates: Sequence[Point], size: int) -> List[Point]:
         """Draw reported locations for ``size`` requests against one candidate set.

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-import numpy as np
 
 from repro.attack.deobfuscation import DeobfuscationAttack
 from repro.core.mechanism import LPPM

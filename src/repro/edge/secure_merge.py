@@ -23,7 +23,7 @@ uniformity of strict share subsets are covered by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

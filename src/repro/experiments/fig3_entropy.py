@@ -7,7 +7,6 @@ below entropy 2 (the paper reports 88.8 % of its 37,262 users).
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.attack.profiling import (
     bucket_mean_entropy,

@@ -10,7 +10,6 @@ perturbed data.  The paper's observation: the inference error shrinks from
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.attack.deobfuscation import DeobfuscationAttack
 from repro.core.accounting import LongitudinalExposureAccountant

@@ -11,7 +11,7 @@ probability high as ``n`` grows.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -10,7 +10,7 @@ compared on a selector-independent axis.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 

@@ -71,9 +71,10 @@ class LocationProfile:
         self._entry_cache: List[Optional[ProfileEntry]] = [None] * len(self._freqs)
 
     @classmethod
-    def _from_columns(
+    def from_columns(
         cls, xs: np.ndarray, ys: np.ndarray, freqs: np.ndarray
     ) -> "LocationProfile":
+        """A profile from per-location centroid and count columns (any order)."""
         profile = cls.__new__(cls)
         profile._init_columns(xs, ys, freqs)
         return profile
@@ -116,7 +117,7 @@ class LocationProfile:
         counts = np.bincount(labels, minlength=k)
         cx = np.bincount(labels, weights=coords[:, 0], minlength=k) / counts
         cy = np.bincount(labels, weights=coords[:, 1], minlength=k) / counts
-        return cls._from_columns(cx, cy, counts.astype(np.int64))
+        return cls.from_columns(cx, cy, counts.astype(np.int64))
 
     @classmethod
     def from_xy(

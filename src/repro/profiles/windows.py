@@ -38,8 +38,9 @@ class WindowedProfileBuilder:
 
     ``add`` returns a :class:`WindowResult` when the incoming check-in's
     timestamp crosses the current window's end (possibly skipping empty
-    windows), otherwise ``None``.  ``flush`` closes the trailing partial
-    window.
+    windows), otherwise ``None``.  ``take_pending`` hands the trailing
+    partial window's check-ins over unprofiled, so a drain can profile
+    every user's trailing window in one population pass.
     """
 
     window_seconds: float = DEFAULT_WINDOW_DAYS * SECONDS_PER_DAY
@@ -79,11 +80,10 @@ class WindowedProfileBuilder:
         self._buffer.append(checkin)
         return result
 
-    def flush(self) -> Optional[WindowResult]:
-        """Close the open window, emitting its profile if non-empty."""
-        if not self._buffer or self._window_start is None:
-            return None
-        return self._close_window(self._window_start + self.window_seconds)
+    def take_pending(self) -> List[CheckIn]:
+        """Take the open window's check-ins and leave the window empty."""
+        taken, self._buffer = self._buffer, []
+        return taken
 
     def snapshot(self) -> Dict[str, Any]:
         """The builder's open-window state as JSON-able primitives.

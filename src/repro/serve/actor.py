@@ -116,6 +116,11 @@ class UserActor:
         self.selection = OutputSelectionModule.posterior(
             self._nfold.posterior_sigma, rng=rng
         )
+        #: Eq. 18 selection weights per pinned candidate set.  A pinned set
+        #: never changes, so its weights are computed once; they are
+        #: derived state, left out of the snapshot and rebuilt on first
+        #: use after a restore.
+        self._pinned_weights: Dict[Tuple[Point, ...], np.ndarray] = {}
         self.events_handled = 0
 
     def handle_checkin(self, timestamp: float, x: float, y: float) -> Tuple[Point, str]:
@@ -128,26 +133,30 @@ class UserActor:
         leaves the actor is paid for.
         """
         true_location = Point(x, y)
-        new_tops = self.management.record(CheckIn(timestamp, true_location))
-        if new_tops:
-            self.obfuscation.ensure_obfuscated(new_tops)
+        self.pin_tops(self.management.record(CheckIn(timestamp, true_location)))
         candidates = self.obfuscation.candidates_for(true_location)
         self.events_handled += 1
         if candidates is not None:
-            return self.selection.select(candidates), "top"
+            key = tuple(candidates)
+            weights = self._pinned_weights.get(key)
+            if weights is None:
+                weights = self.selection.selector.probabilities(candidates)
+                self._pinned_weights[key] = weights
+            return self.selection.select(candidates, weights), "top"
         reported = self._nomadic.obfuscate(true_location)[0]
         self.accountant.observe(
             self.config.budget.epsilon / self.config.budget.r
         )
         return reported, "nomadic"
 
-    def finalize(self) -> None:
-        """Flush the trailing profile window (graceful shutdown).
+    def pin_tops(self, tops: Optional[List[Point]]) -> None:
+        """Pin — and ledger-charge — the fresh tops of a closed window.
 
-        Any tops surfacing from the partial window are pinned — and
-        ledger-charged — exactly as a window rollover would have.
+        Serves both window closes: a rollover inside :meth:`handle_checkin`
+        and the drain, which closes every actor's trailing window at once
+        with :func:`~repro.edge.location_management.flush_trailing_windows`
+        and then pins each actor's tops in user order.
         """
-        tops = self.management.flush()
         if tops:
             self.obfuscation.ensure_obfuscated(tops)
 

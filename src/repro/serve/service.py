@@ -87,6 +87,7 @@ class ServeConfig:
     #: interleaves producer and consumers event-by-event; larger bursts
     #: model an ingest spike arriving faster than the loop can drain —
     #: backpressure tests use this to saturate a queue deterministically.
+    #: A paced producer that fell behind catches up in bursts of this size.
     producer_burst: int = 1
     replay: bool = False
     use_processes: bool = True
@@ -327,6 +328,7 @@ class ServeService:
         assignment = self.schedule.shard_assignment(cfg.n_shards)
         loop = asyncio.get_running_loop()
         start = loop.time()
+        overdue = 0
         for seq in range(len(self.schedule)):
             queue = queues[int(assignment[seq])]
             if cfg.replay:
@@ -336,7 +338,16 @@ class ServeService:
                     due = start + (seq + 1) / cfg.qps
                     delay = due - loop.time()
                     if delay > 0:
+                        overdue = 0
                         await asyncio.sleep(delay)
+                    else:
+                        # Behind schedule after a loop stall (e.g. a GC
+                        # pause): catch up in bursts that let consumers
+                        # drain, rather than offering the whole backlog
+                        # at once and shedding it against a full queue.
+                        overdue += 1
+                        if overdue % cfg.producer_burst == 0:
+                            await asyncio.sleep(0)
                 elif (seq + 1) % cfg.producer_burst == 0:
                     # Unpaced: still yield so consumers can interleave.
                     await asyncio.sleep(0)

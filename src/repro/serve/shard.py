@@ -39,6 +39,7 @@ from repro.edge.clock import (
     VirtualTimeSource,
     WallTimeSource,
 )
+from repro.edge.location_management import flush_trailing_windows
 from repro.datagen.shanghai import shanghai_planar_bbox
 from repro.fleet.runtime import FleetShardRuntime
 from repro.fleet.scenario import Scenario
@@ -240,37 +241,47 @@ class ShardState:
         return result
 
     def finalize(self) -> List[ActorFinalize]:
-        """Drain every seat (flush trailing windows), in user order.
+        """Drain every seat (close trailing windows), in user order.
 
         Ordering by ``user_index`` — not by shard arrival — lets the
         service merge finalize observations identically for any shard
         count.  Under a fleet scenario the drain also visits parked and
-        destroyed seats: pending faults are applied (inside the seat's
-        own collect window), parked snapshots are revived so their
-        ledgers survive into the accounting, and a seat left with no
-        actor (lossy crash, never rebuilt) contributes an empty record
-        so its loss gauges still merge at the right position.
+        destroyed seats: pending faults are applied, parked snapshots are
+        revived so their ledgers survive into the accounting, and a seat
+        left with no actor (lossy crash, never rebuilt) contributes an
+        empty record so its loss gauges still merge at the right position.
+
+        The drain runs in three passes: (1) catch-up — each seat's pending
+        faults, in that seat's own collect window; (2) one kernel pass over
+        every surviving actor's trailing window
+        (:func:`flush_trailing_windows`); (3) in user order, each actor
+        pins its fresh tops on its own RNG.  Pass 3's collect window starts
+        from the seat's pass-1 snapshot, which restores exactly the registry
+        the seat had after its catch-up; pass 2 emits no metrics and draws
+        no noise, and virtual-tick durations do not depend on the tick
+        offset, so each seat's snapshot is the one a single window gives.
         """
-        results: List[ActorFinalize] = []
         if self.fleet is None:
             seats = sorted(self.actors)
         else:
             seats = self.fleet.finalize_seats(self.actors)
+        caught_up: Dict[int, Snapshot] = {}
+        if self.fleet is not None:
+            for user_index in seats:
+                with trace.collect() as obs:
+                    self.fleet.before_finalize(user_index, self.actors, self._revive)
+                caught_up[user_index] = obs.metrics
+        live = [self.actors[i] for i in seats if i in self.actors]
+        fresh_tops = flush_trailing_windows([actor.management for actor in live])
+        tops_of = {actor.user_index: tops for actor, tops in zip(live, fresh_tops)}
+        results: List[ActorFinalize] = []
         for user_index in seats:
-            with trace.collect() as obs:
-                if self.fleet is not None:
-                    self.fleet.before_finalize(
-                        user_index, self.actors, self._revive
-                    )
-                actor = self.actors.get(user_index)
-                if actor is not None:
-                    entries_before = len(actor.ledger.entries)
-                    actor.finalize()
+            actor = self.actors.get(user_index)
             if actor is None:
                 results.append(
                     ActorFinalize(
                         user_index=user_index,
-                        metrics=obs.metrics,
+                        metrics=caught_up[user_index],
                         charges=[],
                         events_handled=0,
                         ledger_epsilon=0.0,
@@ -279,6 +290,11 @@ class ShardState:
                     )
                 )
                 continue
+            entries_before = len(actor.ledger.entries)
+            with trace.collect() as obs:
+                if user_index in caught_up:
+                    trace.get_registry().merge(caught_up[user_index])
+                actor.pin_tops(tops_of[user_index])
             results.append(
                 ActorFinalize(
                     user_index=user_index,

@@ -1,7 +1,5 @@
 """Unit tests for bid records and the bidding log."""
 
-import numpy as np
-import pytest
 
 from repro.ads.bidding import BidLog, BidLogRecord, BidResponse
 from repro.geo.point import Point

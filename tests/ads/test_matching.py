@@ -1,7 +1,5 @@
 """Unit tests for the grid-bucketed campaign index."""
 
-import numpy as np
-import pytest
 
 from repro.ads.campaign import Advertiser, Campaign
 from repro.ads.matching import CampaignIndex

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attack.clustering import Cluster, connectivity_clusters, largest_cluster
+from repro.attack.clustering import connectivity_clusters, largest_cluster
 
 
 class TestConnectivityClusters:

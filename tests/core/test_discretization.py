@@ -1,6 +1,5 @@
 """Unit tests for the discretized/truncated planar Laplace mechanism."""
 
-import math
 
 import numpy as np
 import pytest

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.calibration import gaussian_sigma_nfold, gaussian_sigma_single

@@ -1,12 +1,10 @@
 """Unit tests for the trace obfuscation deployment helpers."""
 
-import numpy as np
 import pytest
 
 from repro.core.gaussian import GaussianMechanism, NFoldGaussianMechanism
 from repro.core.laplace import PlanarLaplaceMechanism
-from repro.core.mechanism import default_rng
-from repro.core.params import GeoIndBudget, OneTimeBudget
+from repro.core.params import OneTimeBudget
 from repro.core.posterior import PosteriorSelector, UniformSelector
 from repro.datagen.obfuscate import one_time_obfuscate, permanent_obfuscate
 from repro.geo.point import Point

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.edge.location_management import LocationManagementModule
+from repro.edge.location_management import (
+    LocationManagementModule,
+    flush_trailing_windows,
+)
 from repro.geo.point import Point
 from repro.profiles.checkin import SECONDS_PER_DAY, CheckIn
 
@@ -48,15 +51,16 @@ class TestLocationManagementModule:
     def test_flush_emits_partial_window(self):
         m = LocationManagementModule(window_days=30.0)
         m.record(ci(0.0))
-        tops = m.flush()
+        (tops,) = flush_trailing_windows([m])
         assert tops is not None
         assert m.top_locations == tops
+        assert flush_trailing_windows([m]) == [None]  # the window is now empty
 
     def test_is_top_location(self):
         m = LocationManagementModule(eta=0.8, window_days=30.0)
         for i in range(10):
             m.record(ci(float(i), 0.0, 0.0))
-        m.flush()
+        flush_trailing_windows([m])
         assert m.is_top_location(Point(20, 0), match_radius=100.0)
         assert not m.is_top_location(Point(500, 0), match_radius=100.0)
 
@@ -71,14 +75,38 @@ class TestTopHistory:
         for i in range(10):
             m.record(ci(i * DAY, 0.0, 0.0))
         m.record(ci(11 * DAY))  # closes the first window
-        m.flush()  # closes the trailing partial window
+        flush_trailing_windows([m])  # closes the trailing partial window
         assert len(m.top_history) == m.windows_closed == 2
 
     def test_history_entries_are_snapshots(self):
         m = LocationManagementModule(window_days=10.0)
         for i in range(10):
             m.record(ci(float(i), 0.0, 0.0))
-        m.flush()
+        flush_trailing_windows([m])
         snapshot = m.top_history[0]
         assert snapshot == m.top_locations
         assert snapshot is not m.top_locations  # defensive copies
+
+
+class TestFlushTrailingWindows:
+    def test_each_module_closes_its_own_window(self):
+        a = LocationManagementModule(window_days=30.0)
+        b = LocationManagementModule(window_days=30.0)
+        idle = LocationManagementModule(window_days=30.0)
+        for i in range(5):
+            a.record(ci(float(i), 0.0, 0.0))
+            b.record(ci(float(i), 9_000.0, 0.0))
+        tops_a, tops_idle, tops_b = flush_trailing_windows([a, idle, b])
+        assert tops_idle is None and idle.windows_closed == 0
+        assert tops_a == [Point(0.0, 0.0)] and a.top_locations == tops_a
+        assert tops_b == [Point(9_000.0, 0.0)] and b.top_locations == tops_b
+        assert a.profile.total_checkins == b.profile.total_checkins == 5
+
+    def test_empty_batch(self):
+        assert flush_trailing_windows([]) == []
+
+    def test_rejects_mixed_configs(self):
+        with pytest.raises(ValueError):
+            flush_trailing_windows(
+                [LocationManagementModule(eta=0.8), LocationManagementModule(eta=0.5)]
+            )

@@ -1,6 +1,5 @@
 """Unit tests for the output selection module."""
 
-import numpy as np
 import pytest
 
 from repro.core.posterior import UniformSelector

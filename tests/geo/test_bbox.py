@@ -1,6 +1,5 @@
 """Unit tests for planar and geodetic bounding boxes."""
 
-import numpy as np
 import pytest
 
 from repro.geo.bbox import BoundingBox, GeoBoundingBox

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.geo.point import Point
 from repro.geo.projection import (
     EARTH_RADIUS_M,
     GeoPoint,

@@ -16,11 +16,7 @@ from repro.core.gaussian import NFoldGaussianMechanism
 from repro.core.mechanism import default_rng
 from repro.core.params import GeoIndBudget
 from repro.core.posterior import PosteriorSelector
-from repro.core.verification import (
-    empirical_privacy_check,
-    gaussian_delta,
-    verify_gaussian_geo_ind,
-)
+from repro.core.verification import empirical_privacy_check, verify_gaussian_geo_ind
 from repro.geo.point import Point
 
 

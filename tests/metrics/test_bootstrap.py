@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.bootstrap import ConfidenceInterval, bootstrap_ci, proportion_ci
+from repro.metrics.bootstrap import bootstrap_ci, proportion_ci
 
 
 class TestBootstrapCi:

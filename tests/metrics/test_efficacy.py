@@ -1,6 +1,5 @@
 """Unit tests for the advertising-efficacy metric (Definition 5)."""
 
-import numpy as np
 import pytest
 
 from repro.core.gaussian import NFoldGaussianMechanism

@@ -1,6 +1,5 @@
 """Unit tests for the QoS (expected distance loss) metric."""
 
-import numpy as np
 import pytest
 
 from repro.core.gaussian import GaussianMechanism, NFoldGaussianMechanism

@@ -6,7 +6,6 @@ float sums associate identically for any ``workers`` value — the merged
 snapshot is bit-identical, not just approximately equal.
 """
 
-import numpy as np
 import pytest
 
 from repro import obs

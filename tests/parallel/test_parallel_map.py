@@ -1,6 +1,5 @@
 """Unit tests for the deterministic process-pool fan-out."""
 
-import numpy as np
 import pytest
 
 from repro.parallel import (

@@ -1,15 +1,9 @@
 """Unit tests for check-in records and window filtering."""
 
-import numpy as np
 import pytest
 
 from repro.geo.point import Point
-from repro.profiles.checkin import (
-    SECONDS_PER_DAY,
-    CheckIn,
-    checkins_to_array,
-    filter_window,
-)
+from repro.profiles.checkin import CheckIn, checkins_to_array, filter_window
 
 
 class TestCheckIn:

@@ -42,17 +42,24 @@ class TestWindowedProfileBuilder:
         assert b.add(ci(39 * DAY)) is None
         assert b.add(ci(41 * DAY)) is not None
 
-    def test_flush_emits_partial_window(self):
+    def test_take_pending_returns_partial_window(self):
         b = WindowedProfileBuilder(window_seconds=10 * DAY)
         b.add(ci(0.0))
         b.add(ci(3 * DAY))
-        result = b.flush()
-        assert result is not None
-        assert result.profile.total_checkins == 2
+        assert b.take_pending() == [ci(0.0), ci(3 * DAY)]
+        assert b.pending == 0
 
-    def test_flush_empty_returns_none(self):
+    def test_take_pending_empty_returns_empty(self):
         b = WindowedProfileBuilder(window_seconds=10 * DAY)
-        assert b.flush() is None
+        assert b.take_pending() == []
+
+    def test_window_origin_survives_take_pending(self):
+        b = WindowedProfileBuilder(window_seconds=10 * DAY)
+        b.add(ci(0.0))
+        b.take_pending()
+        assert b.add(ci(5 * DAY)) is None  # still inside the first window
+        result = b.add(ci(11 * DAY))
+        assert result is not None and result.window_start == 0.0
 
     def test_out_of_order_checkins_raise(self):
         b = WindowedProfileBuilder(window_seconds=10 * DAY)
@@ -66,7 +73,7 @@ class TestWindowedProfileBuilder:
             b.add(ci(float(i), 0.0, 0.0))
         for i in range(10):
             b.add(ci(20.0 + i, 5_000.0, 0.0))
-        result = b.flush()
+        result = b.add(ci(11 * DAY))  # rolls the window over
         assert len(result.profile) == 2
         assert result.profile[0].frequency == 20
 

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.posterior import posterior_weights

@@ -1,6 +1,5 @@
 """Property-based tests for the discrete-event queueing model."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

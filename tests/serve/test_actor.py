@@ -1,8 +1,8 @@
 """Per-user actors: determinism, path selection, ledger accounting."""
 
-import numpy as np
 
 from repro.edge.clock import VirtualTimeSource
+from repro.edge.location_management import flush_trailing_windows
 from repro.serve.actor import EdgeConfig, UserActor
 from repro.serve.events import ServeWorkloadConfig, build_schedule
 
@@ -84,8 +84,38 @@ class TestServePaths:
         for i in range(20):
             actor.handle_checkin(i * day, 500.0, 500.0)
         assert actor.ledger.spends == 0
-        actor.finalize()
+        (tops,) = flush_trailing_windows([actor.management])
+        actor.pin_tops(tops)
         assert actor.ledger.spends >= 1
+
+
+class TestPinnedWeights:
+    def serve(self, actor, days):
+        return [actor.handle_checkin(i * 86_400.0, 500.0, 500.0) for i in days]
+
+    def test_weights_computed_once_per_pinned_set(self, monkeypatch):
+        actor = make_actor()
+        selector = actor.selection.selector
+        calls = []
+        probabilities = selector.probabilities
+
+        def counting(candidates):
+            calls.append(len(candidates))
+            return probabilities(candidates)
+
+        monkeypatch.setattr(selector, "probabilities", counting)
+        paths = [path for _, path in self.serve(actor, range(120))]
+        assert paths.count("top") > 1
+        assert len(calls) == 1
+
+    def test_restored_actor_continues_bit_identically(self):
+        served, restored = make_actor(), make_actor()
+        self.serve(served, range(100))
+        self.serve(restored, range(100))
+        restored = UserActor.from_snapshot(
+            restored.snapshot(), config=EdgeConfig(), time_source=VirtualTimeSource()
+        )
+        assert self.serve(served, range(100, 130)) == self.serve(restored, range(100, 130))
 
 
 class TestLedgerCap:

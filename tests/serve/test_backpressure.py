@@ -5,7 +5,10 @@ reaches an actor, so the ledger is never charged for it — load shedding
 costs ad requests, not epsilon.
 """
 
+import time
+
 from repro.serve.harness import run_service
+from repro.serve.ingress import BoundedIngressQueue
 
 WORKLOAD = dict(n_users=6, n_events=300, n_campaigns=40, seed=11)
 
@@ -67,3 +70,32 @@ class TestShedding:
         )
         obs_full = full.metrics["counters"]["privacy.longitudinal_observations"]
         assert obs_shed < obs_full
+
+
+class TestStallRecovery:
+    def test_paced_producer_catches_up_after_a_stall_without_shedding(
+        self, monkeypatch
+    ):
+        # Block the event loop for 200 ms mid-run, as a gen-2 GC pause
+        # does: at 400 events/s (far below capacity) 80 events fall
+        # overdue, five times the queue.  Offering them without yielding
+        # would shed most of them.
+        offer = BoundedIngressQueue.offer
+
+        def stalling_offer(queue, item):
+            if item == 100:
+                time.sleep(0.2)
+            return offer(queue, item)
+
+        monkeypatch.setattr(BoundedIngressQueue, "offer", stalling_offer)
+        result = run_service(
+            replay=False,
+            n_shards=1,
+            use_processes=False,
+            queue_capacity=16,
+            batch_max=8,
+            qps=400.0,
+            **WORKLOAD,
+        )
+        assert result.dropped == 0
+        assert result.processed == WORKLOAD["n_events"]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.sim.latency import (
-    RTB_DEADLINE_S,
     latency_sweep,
     lognormal_service,
     measure_selection_service_time,

@@ -1,6 +1,5 @@
 """Unit tests for the edge queueing model."""
 
-import numpy as np
 import pytest
 
 from repro.sim.queueing import EdgeQueueModel, simulate_edge_queue

@@ -7,7 +7,6 @@ evolves.
 
 import importlib.util
 import pathlib
-import sys
 
 import pytest
 
