@@ -2,7 +2,8 @@
 
 The columnar data plane gives every hot primitive a vectorised batch
 entry point (``obfuscate_batch``, ``select_index_batch``,
-``posterior_weights_array``).  Driving those
+``posterior_weights_array``, and ``user_uniforms`` for per-user RNG
+streams).  Driving those
 primitives one element at a time from a Python loop forfeits the batch
 speedup and is almost always an accident — the loop body pays Point
 boxing and numpy dispatch per element.  One level up, the population
@@ -28,7 +29,11 @@ BATCH_ALTERNATIVES: Dict[str, str] = {
     "obfuscate": "obfuscate_batch",
     "select_index": "select_index_batch",
     "posterior_weights": "posterior_weights_array",
+    "user_rng": "repro.kernels.gaussian.user_uniforms",
 }
+
+#: Entries that are module-level functions, so bare-Name calls count.
+_FUNCTION_ENTRIES = frozenset({"posterior_weights", "user_rng"})
 
 _LOOP_NODES = (
     ast.For,
@@ -46,19 +51,21 @@ class ScalarCallInLoop(Rule):
 
     Flags ``.obfuscate()``, ``.select_index()`` and ``posterior_weights``
     calls under a loop: each has a vectorised batch twin that amortises
-    dispatch over the whole array.  Loops that *must* stay scalar (to
-    preserve an RNG call order, or as the fallback when the duck-typed
-    batch API is absent) are justified sites — baseline them or suppress
-    with a reason.
+    dispatch over the whole array.  ``user_rng`` under a loop builds a
+    ``SeedSequence`` and a ``PCG64`` per user; ``user_uniforms`` seeds a
+    whole chunk's streams in one array pass and returns the same bytes.
+    Loops that *must* stay scalar (to preserve an RNG call order, or as
+    the fallback when the duck-typed batch API is absent) are justified
+    sites — baseline them or suppress with a reason.
     """
 
     id = "PERF001"
     name = "per-element hot-path call inside a loop"
     rationale = (
-        "obfuscate/select_index/posterior_weights all have vectorised "
-        "batch APIs; calling them per element from a Python loop pays "
-        "boxing and numpy dispatch per item and dominates the experiment "
-        "pipelines' wall clock."
+        "obfuscate/select_index/posterior_weights/user_rng all have "
+        "vectorised batch APIs; calling them per element from a Python "
+        "loop pays boxing, numpy dispatch or per-user RNG seeding per item "
+        "and dominates the experiment pipelines' wall clock."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -77,10 +84,10 @@ class ScalarCallInLoop(Rule):
                 continue
             if tail not in BATCH_ALTERNATIVES:
                 continue
-            # Only Name calls to the module-level posterior_weights count;
+            # Only Name calls to the module-level functions count;
             # .obfuscate/.select_index are method calls on a mechanism or
             # selector, so a bare Name of those is some unrelated local.
-            if isinstance(func, ast.Name) and tail != "posterior_weights":
+            if isinstance(func, ast.Name) and tail not in _FUNCTION_ENTRIES:
                 continue
             if not any(isinstance(anc, _LOOP_NODES) for anc in ctx.ancestors(node)):
                 continue

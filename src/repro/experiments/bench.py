@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.data.cache import StageCache
 from repro.data.plane import DataPlaneConfig, add_data_plane_arguments
+from repro.data.tiers import TIERS
 from repro.experiments import (
     fig6_attack,
     fig7_mechanisms,
@@ -106,13 +107,24 @@ def _payload(
     scale: ExperimentScale,
     spans: Optional[Dict[str, dict]] = None,
 ) -> dict:
-    """One archive entry, same shape as ``benchmarks/conftest.py`` writes."""
+    """One archive entry, same shape as ``benchmarks/conftest.py`` writes.
+
+    A table2 ``--tier`` run measures the tier's population, not the
+    scale preset's: its ``scale`` entry names the tier and the tier's
+    user count, and keeps only the seed from the preset.
+    """
+    tier = report.meta.get("tier")
+    scale_meta = (
+        dataclasses.asdict(scale)
+        if tier is None
+        else {"name": tier, "n_users": TIERS[tier].n_users, "seed": scale.seed}
+    )
     out = {
         "experiment_id": bench_id,
         "title": report.title,
         "wall_seconds": wall_seconds,
         "workers": report.meta.get("workers"),
-        "scale": dataclasses.asdict(scale),
+        "scale": scale_meta,
         "stage_seconds": report.meta.get("stage_seconds", {}),
         "cache": report.meta.get("cache"),
         "rows": report.rows,

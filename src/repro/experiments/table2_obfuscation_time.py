@@ -114,6 +114,9 @@ def _obfuscate_users_loop(
         profile = LocationProfile.from_xy(xs[sl], ys[sl])
         top_xs, top_ys = eta_frequent_xy(profile, DEFAULT_ETA)
         if len(top_xs):
+            # The per-user reference that kernel mode is measured against:
+            # one Generator per user is the point of this path.
+            # reprolint: disable=PERF001
             mechanism = NFoldGaussianMechanism(budget, rng=user_rng(seed, i))
             # Timing benchmark: output discarded, nothing released.
             # reprolint: disable=BUD101

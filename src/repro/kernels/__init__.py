@@ -13,7 +13,8 @@ supersedes:
 * :mod:`repro.kernels.frequent` — eta-frequent location sets via a
   segment cumsum (Algorithm 2 for the whole shard).
 * :mod:`repro.kernels.gaussian` — batched n-fold Gaussian pinning with
-  per-user ``SeedSequence.spawn`` streams preserved.
+  per-user ``SeedSequence.spawn`` streams preserved, every stream of a
+  chunk seeded in one array pass (``user_uniforms``).
 * :mod:`repro.kernels.obfuscate` — full reporting streams (one-time
   Laplace and Edge-PrivLocAd permanent deployment) per shard.
 
@@ -23,7 +24,11 @@ every kernel against its per-user reference.
 
 from repro.kernels.cluster import population_component_labels
 from repro.kernels.frequent import population_eta_counts, population_eta_tops
-from repro.kernels.gaussian import pin_candidates_population, user_rng
+from repro.kernels.gaussian import (
+    pin_candidates_population,
+    user_rng,
+    user_uniforms,
+)
 from repro.kernels.obfuscate import (
     match_tops_population,
     one_time_laplace_population,
@@ -38,6 +43,7 @@ __all__ = [
     "population_eta_counts",
     "population_eta_tops",
     "user_rng",
+    "user_uniforms",
     "pin_candidates_population",
     "match_tops_population",
     "one_time_laplace_population",

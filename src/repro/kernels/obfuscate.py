@@ -10,11 +10,13 @@ Two deployment styles, mirroring :mod:`repro.datagen.obfuscate`:
   through a single-output Gaussian.
 
 Both kernels preserve the per-user ``SeedSequence.spawn`` stream
-discipline of :mod:`repro.kernels.gaussian`: the only python-level loop
-draws each user's uniforms from that user's own Generator in the exact
-call order of the per-user reference path
+discipline of :mod:`repro.kernels.gaussian`: one
+:func:`~repro.kernels.gaussian.user_uniforms` call seeds every user's
+stream for the shard in one array pass and reads each user's uniforms as
+one buffer, which :func:`~repro.kernels.gaussian.split_user_blocks` cuts
+in the exact call order of the per-user reference path
 (:func:`repro.datagen.obfuscate.permanent_obfuscate_batched_xy` /
-``one_time_obfuscate_xy``); every transform — Rayleigh and Lambert-W
+``one_time_obfuscate_xy``).  Every transform — Rayleigh and Lambert-W
 radius inversion, polar conversion, nearest-top matching, the posterior
 weight matrix and its inverse-CDF selection — runs batched over the whole
 shard.  Results are bit-identical to the reference, per user, and
@@ -34,7 +36,7 @@ from repro.core.sampling import (
     polar_to_cartesian,
     rayleigh_radius_from_uniform,
 )
-from repro.kernels.gaussian import user_rng
+from repro.kernels.gaussian import split_user_blocks, user_uniforms
 
 __all__ = [
     "match_tops_population",
@@ -121,19 +123,12 @@ def one_time_laplace_population(
     n_users = len(offsets) - 1
     if user_ids is None:
         user_ids = np.arange(n_users, dtype=np.int64)
-    n = len(xs)
-    theta = np.empty(n, dtype=float)
-    p = np.empty(n, dtype=float)
-    for u in range(n_users):
-        lo, hi = int(offsets[u]), int(offsets[u + 1])
-        if hi == lo:
-            continue
-        rng = user_rng(seed, int(user_ids[u]))
-        # See pin_candidates_population: one buffer read per user
-        # reproduces the reference's theta-then-p uniform pair exactly.
-        buf = rng.random(2 * (hi - lo))
-        theta[lo:hi] = buf[:hi - lo]
-        p[lo:hi] = buf[hi - lo:]
+    m_u = np.diff(offsets)
+    # See pin_candidates_population: one buffer read per user reproduces
+    # the reference's theta-then-p uniform pair exactly.
+    theta, p = split_user_blocks(
+        user_uniforms(seed, user_ids, 2 * m_u), (m_u, m_u)
+    )
     theta *= _TWO_PI
     noise = polar_to_cartesian(
         planar_laplace_radius_from_uniform(p, epsilon), theta
@@ -195,39 +190,18 @@ def permanent_obfuscate_population(
     n_matched_u = np.bincount(user_of_point[matched], minlength=n_users)
     n_nomadic_u = m_u - n_matched_u
 
-    # Draw every user's uniforms in reference call order; sizes are fully
-    # determined by the (RNG-free) matching above.  Size-0 draws do not
-    # advance Generator state, so skipping them preserves the stream.
+    # One buffer per user in reference call order (pin theta, pin s,
+    # select, nomadic theta, nomadic s); sizes are fully determined by
+    # the (RNG-free) matching above.  ``uniform(0, high)`` is
+    # ``high * next_double`` (see pin_candidates_population), so theta
+    # scale factors are applied batched below.
     pin_sizes = k_u * n
-    pin_bounds = np.concatenate([[0], np.cumsum(pin_sizes)])
-    sel_bounds = np.concatenate([[0], np.cumsum(n_matched_u)])
-    nom_bounds = np.concatenate([[0], np.cumsum(n_nomadic_u)])
-    theta_pin = np.empty(int(pin_bounds[-1]), dtype=float)
-    s_pin = np.empty(int(pin_bounds[-1]), dtype=float)
-    u_sel = np.empty(int(sel_bounds[-1]), dtype=float)
-    theta_nom = np.empty(int(nom_bounds[-1]), dtype=float)
-    s_nom = np.empty(int(nom_bounds[-1]), dtype=float)
-    for u in range(n_users):
-        if m_u[u] == 0 and pin_sizes[u] == 0:
-            continue
-        rng = user_rng(seed, int(user_ids[u]))
-        # Each stage reads one buffer per user (uniform(0, high) is
-        # high * next_double, see pin_candidates_population); theta
-        # scale factors are applied batched below.
-        if pin_sizes[u]:
-            d = int(pin_sizes[u])
-            buf = rng.random(2 * d)
-            theta_pin[pin_bounds[u]:pin_bounds[u + 1]] = buf[:d]
-            s_pin[pin_bounds[u]:pin_bounds[u + 1]] = buf[d:]
-        if n_matched_u[u]:
-            u_sel[sel_bounds[u]:sel_bounds[u + 1]] = rng.random(
-                int(n_matched_u[u])
-            )
-        if n_nomadic_u[u]:
-            d = int(n_nomadic_u[u])
-            buf = rng.random(2 * d)
-            theta_nom[nom_bounds[u]:nom_bounds[u + 1]] = buf[:d]
-            s_nom[nom_bounds[u]:nom_bounds[u + 1]] = buf[d:]
+    theta_pin, s_pin, u_sel, theta_nom, s_nom = split_user_blocks(
+        user_uniforms(
+            seed, user_ids, 2 * pin_sizes + n_matched_u + 2 * n_nomadic_u
+        ),
+        (pin_sizes, pin_sizes, n_matched_u, n_nomadic_u, n_nomadic_u),
+    )
     theta_pin *= _TWO_PI
     theta_nom *= _TWO_PI
 

@@ -2,8 +2,9 @@
 
 The paper reports point estimates; for a reproduction it is good practice
 to attach uncertainty, especially at reduced trial counts.  This module
-implements the percentile bootstrap for means and proportions, used by the
-experiment drivers' confidence columns and available to downstream users.
+implements the percentile bootstrap for means and proportions for
+downstream users.  No experiment driver reports a confidence column yet:
+the tables carry point estimates only.
 """
 
 from __future__ import annotations

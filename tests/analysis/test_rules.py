@@ -25,6 +25,7 @@ EXPECTATIONS = {
     "bad_docstring.py": ("DOC001", 1),
     "bad_annotations.py": ("DOC002", 2),
     "bad_perf_scalar_loop.py": ("PERF001", 2),
+    "bad_perf_rng_loop.py": ("PERF001", 2),
     "bad_perf_csr_loop.py": ("PERF002", 2),
     "bad_perf_materialize.py": ("PERF003", 2),
     "bad_salted_hash.py": ("DET004", 2),

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.data.tiers import TIERS
+from repro.experiments import table2_obfuscation_time
 from repro.experiments.bench import (
     compare_benches,
     main,
@@ -11,6 +13,7 @@ from repro.experiments.bench import (
     run_shm_bench,
 )
 from repro.experiments.config import ExperimentScale
+from repro.experiments.tables import ExperimentReport
 
 TINY = ExperimentScale(name="tiny", trials=30, n_users=5, mc_samples=64)
 
@@ -105,6 +108,20 @@ class TestColdWarm:
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_cold_warm("nope", TINY, cache_dir=tmp_path)
+
+    def test_tier_run_archives_the_tier_as_its_scale(self, tmp_path, monkeypatch):
+        def fake_run(scale, **kwargs):
+            return ExperimentReport(
+                "table2", "t", meta={"tier": kwargs["tier"], "mode": "kernel"}
+            )
+
+        monkeypatch.setattr(table2_obfuscation_time, "run", fake_run)
+        cold, warm = run_cold_warm(
+            "table2", TINY, tier="city", mode="kernel", cache_dir=tmp_path
+        )
+        expected = {"name": "city", "n_users": TIERS["city"].n_users, "seed": TINY.seed}
+        assert cold["scale"] == warm["scale"] == expected
+        assert warm["experiment_id"] == "table2_city_kernel_cache_warm"
 
 
 class TestShmBench:
