@@ -17,12 +17,11 @@ from repro.core.gaussian import GaussianMechanism, NFoldGaussianMechanism
 from repro.core.mechanism import default_rng
 from repro.core.params import GeoIndBudget
 from repro.core.posterior import PosteriorSelector
-from repro.datagen.obfuscate import permanent_obfuscate
 from repro.datagen.population import PopulationConfig, iter_population
+from repro.edge.clock import VirtualTimeSource
 from repro.experiments.tables import ExperimentReport
 from repro.profiles.checkin import CheckIn, checkins_to_array
-from repro.profiles.frequent import eta_frequent_set
-from repro.profiles.profile import LocationProfile
+from repro.serve.actor import EdgeConfig, UserActor
 
 
 def _run() -> ExperimentReport:
@@ -33,13 +32,21 @@ def _run() -> ExperimentReport:
     users = list(iter_population(PopulationConfig(n_users=20, seed=BENCH.seed)))
 
     pinned_errors, fresh_errors = [], []
-    for user in users:
-        profile = LocationProfile.from_checkins(user.trace)
-        tops = eta_frequent_set(profile, 0.8)
-
-        pinned = permanent_obfuscate(user.trace, tops, mechanism, selector)
+    for index, user in enumerate(users):
+        # Edge-PrivLocAd: the user's serve actor pins each window's tops once.
+        actor = UserActor(
+            user.user_id, index, 55, EdgeConfig(budget=budget),
+            time_source=VirtualTimeSource(),
+        )
+        pinned = np.asarray(
+            [
+                tuple(actor.handle_checkin(c.timestamp, c.x, c.y)[0])
+                for c in user.trace
+            ],
+            dtype=float,
+        )
         attack = DeobfuscationAttack.against(mechanism)
-        tops = attack.estimate_xy(checkins_to_array(pinned), 1)
+        tops = attack.estimate_xy(pinned, 1)
         if tops:
             pinned_errors.append(tops[0].distance_to(user.true_tops[0]))
 

@@ -13,22 +13,13 @@ attack is shown failing against the permanent n-fold Gaussian defense.
 
 import math
 
-from repro import (
-    GeoIndBudget,
-    NFoldGaussianMechanism,
-    PlanarLaplaceMechanism,
-    PosteriorSelector,
-)
+from repro import GeoIndBudget, NFoldGaussianMechanism, PlanarLaplaceMechanism
 from repro.attack import DeobfuscationAttack
-from repro.core import GaussianMechanism, default_rng
-from repro.datagen import make_fig4_user, one_time_obfuscate, permanent_obfuscate
+from repro.core import default_rng
+from repro.datagen import make_fig4_user, one_time_obfuscate
 from repro.datagen.shanghai import STUDY_START_TS
-from repro.profiles import (
-    SECONDS_PER_DAY,
-    LocationProfile,
-    checkins_to_array,
-    filter_window,
-)
+from repro.profiles import SECONDS_PER_DAY, checkins_to_array, filter_window
+from repro.serve import attack_egress, run_population
 
 
 def main() -> None:
@@ -56,20 +47,14 @@ def main() -> None:
         print(f"  {label:>9} ({len(window):4d} obs): home recovered to {err:7.1f} m")
 
     # --- The Edge-PrivLocAd defense --------------------------------------
+    # The same year replayed through the edge service: the victim's actor
+    # pins each closed window's top locations once and serves every other
+    # check-in with fresh one-shot noise.
     budget = GeoIndBudget(r=500.0, epsilon=1.0, delta=0.01, n=10)
-    rng = default_rng(2)
-    nfold = NFoldGaussianMechanism(budget, rng=rng)
-    nomadic = GaussianMechanism(budget.with_n(1), rng=rng)
-    selector = PosteriorSelector(nfold.posterior_sigma, rng=rng)
+    defended = run_population([victim], seed=2).responses
 
-    profile = LocationProfile.from_checkins(victim.trace)
-    tops = [e.location for e in profile.top(2)]
-    defended = permanent_obfuscate(
-        victim.trace, tops, nfold, selector, nomadic_mechanism=nomadic
-    )
-
-    defended_attack = DeobfuscationAttack.against(nfold)
-    guesses = defended_attack.estimate_xy(checkins_to_array(defended), 1)
+    defended_attack = DeobfuscationAttack.against(NFoldGaussianMechanism(budget))
+    guesses = attack_egress(defended, defended_attack, 1).get(0, [])
     err = guesses[0].distance_to(home) if guesses else float("inf")
     print("\nattacking the permanent 10-fold Gaussian defense:")
     print(f"  full year ({len(defended)} obs): best guess is {err:7.1f} m away")

@@ -85,11 +85,7 @@ class FlowPolicy:
         {
             "repro.datagen.obfuscate.one_time_obfuscate",
             "repro.datagen.obfuscate.one_time_obfuscate_xy",
-            "repro.datagen.obfuscate.permanent_obfuscate",
-            "repro.datagen.obfuscate.permanent_obfuscate_xy",
-            "repro.datagen.obfuscate.permanent_obfuscate_batched_xy",
             "repro.kernels.obfuscate.one_time_laplace_population",
-            "repro.kernels.obfuscate.permanent_obfuscate_population",
             "repro.kernels.gaussian.pin_candidates_population",
         }
     )

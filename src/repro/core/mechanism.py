@@ -22,13 +22,15 @@ mechanism exposes, scalar and columnar:
 
 ``obfuscate_batch`` is the only columnar entry point (the former
 ``NFoldGaussianMechanism.obfuscate_many`` alias served its one-release
-deprecation cycle and has been removed).  The trace-level helpers
-:func:`repro.datagen.obfuscate.one_time_obfuscate_xy` and
-:func:`repro.datagen.obfuscate.permanent_obfuscate_xy` are the documented
-fast-path entry points *over* this protocol — they route whole coordinate
+deprecation cycle and has been removed).  The trace-level helper
+:func:`repro.datagen.obfuscate.one_time_obfuscate_xy` is the documented
+fast-path entry point *over* this protocol — it routes whole coordinate
 streams through ``obfuscate_batch`` while preserving the scalar path's
 RNG call order bit-for-bit; the population kernels in
 :mod:`repro.kernels` go one level further and stream whole CSR shards.
+The Edge-PrivLocAd stream is the serve actor's
+(:class:`repro.serve.actor.UserActor`), which calls ``obfuscate`` once
+per pinned top and once per nomadic release.
 """
 
 from __future__ import annotations

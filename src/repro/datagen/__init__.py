@@ -2,7 +2,7 @@
 
 from repro.datagen.casestudy import make_fig2_user, make_fig4_user
 from repro.datagen.mobility import MobilityModel, TopLocation
-from repro.datagen.obfuscate import one_time_obfuscate, permanent_obfuscate
+from repro.datagen.obfuscate import one_time_obfuscate
 from repro.datagen.population import (
     PopulationConfig,
     SyntheticUser,
@@ -28,7 +28,6 @@ __all__ = [
     "make_fig2_user",
     "make_fig4_user",
     "one_time_obfuscate",
-    "permanent_obfuscate",
     "SHANGHAI_GEO_BBOX",
     "SHANGHAI_PROJECTION",
     "STUDY_START_TS",

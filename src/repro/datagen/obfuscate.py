@@ -1,47 +1,33 @@
-"""Trace obfuscation helpers: what the ad network actually observes.
+"""Trace obfuscation helper: what the ad network observes under one-time noise.
 
 Bridges the data generators and the mechanisms: given a raw trace and an
-LPPM, produce the obfuscated observation stream the longitudinal attacker
-sees.
+LPPM, :func:`one_time_obfuscate` produces the observation stream of the
+one-time geo-IND deployments the paper attacks — an independent
+perturbation per check-in.  The Edge-PrivLocAd stream is not produced
+here: the serve actor (:class:`repro.serve.actor.UserActor`) is its one
+definition.
 
-* :func:`one_time_obfuscate` — independent per-check-in perturbation, the
-  deployment style of the one-time geo-IND schemes the paper attacks.
-* :func:`permanent_obfuscate` — the Edge-PrivLocAd deployment: top
-  locations get pinned n-fold candidate sets (reported via an output
-  selector), and the per-check-in mechanism is only used for nomadic
-  check-ins.
-
-Each helper has an ``_xy`` twin operating on raw ``(m, 2)`` coordinate
-arrays — the columnar pipelines feed those CSR slices directly and skip
-``CheckIn`` materialisation.  The ``_xy`` helpers are the documented
-fast-path entry points of the :class:`repro.core.mechanism.Mechanism`
-protocol: they route whole coordinate streams through the protocol's
-``obfuscate_batch`` method where its shape contract allows (single-output
-mechanisms only — an n-fold ``obfuscate_batch`` returns ``(m, n, 2)``
-candidate sets, not reports) and fall back to scalar ``obfuscate`` calls
-otherwise.  The object versions are thin wrappers, so both paths consume
-the mechanisms' RNG in exactly the same call order and produce
-bit-identical noise.
+:func:`one_time_obfuscate_xy` is the twin over raw ``(m, 2)`` coordinate
+arrays — the columnar pipelines feed it CSR slices directly and skip
+``CheckIn`` materialisation.  It is the documented fast-path entry point
+of the :class:`repro.core.mechanism.Mechanism` protocol: it routes the
+whole stream through the protocol's ``obfuscate_batch`` method where
+available and falls back to scalar ``obfuscate`` calls otherwise.  The
+object version is a thin wrapper, so both paths consume the mechanism's
+RNG in exactly the same call order and produce bit-identical noise.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.core.mechanism import LPPM
-from repro.core.posterior import OutputSelector
 from repro.geo.point import Point
 from repro.profiles.checkin import CheckIn, checkins_to_array
 
-__all__ = [
-    "one_time_obfuscate",
-    "one_time_obfuscate_xy",
-    "permanent_obfuscate",
-    "permanent_obfuscate_xy",
-    "permanent_obfuscate_batched_xy",
-]
+__all__ = ["one_time_obfuscate", "one_time_obfuscate_xy"]
 
 
 def one_time_obfuscate_xy(coords: np.ndarray, mechanism: LPPM) -> np.ndarray:
@@ -73,186 +59,4 @@ def one_time_obfuscate(
     return [
         CheckIn(c.timestamp, Point(float(x), float(y)))
         for c, (x, y) in zip(trace, noisy)
-    ]
-
-
-def permanent_obfuscate_xy(
-    coords: np.ndarray,
-    tops_xy: np.ndarray,
-    mechanism: LPPM,
-    selector: OutputSelector,
-    match_radius: float = 100.0,
-    nomadic_mechanism: Optional[LPPM] = None,
-) -> np.ndarray:
-    """The Edge-PrivLocAd reporting stream over raw coordinate arrays.
-
-    ``coords`` is the ``(m, 2)`` trace, ``tops_xy`` the ``(k, 2)``
-    eta-frequent locations.  Candidate pinning stays a per-top
-    ``mechanism.obfuscate`` loop on purpose: the noise sampler draws all
-    angles before all radii within one call, so one batched draw over all
-    tops would walk the RNG in a different order than the object path and
-    break bit-identity.
-    """
-    if match_radius <= 0:
-        raise ValueError("match radius must be positive")
-    coords = np.asarray(coords, dtype=float)
-    tops_xy = np.asarray(tops_xy, dtype=float).reshape(-1, 2)
-    candidate_sets = [
-        mechanism.obfuscate(Point(float(x), float(y))) for x, y in tops_xy
-    ]
-    m = len(coords)
-    if m == 0:
-        return np.empty((0, 2), dtype=float)
-
-    reported_xy = np.empty((m, 2), dtype=float)
-
-    # Match every check-in to its nearest top location (if within radius)
-    # in one distance pass; the top set is small (the eta-frequent set is
-    # 1-3 locations for most users), so the (m, k) matrix stays tiny.
-    if len(tops_xy):
-        d = np.hypot(
-            coords[:, 0, None] - tops_xy[None, :, 0],
-            coords[:, 1, None] - tops_xy[None, :, 1],
-        )
-        nearest = d.argmin(axis=1)
-        matched = d[np.arange(m), nearest] <= match_radius
-    else:
-        nearest = np.zeros(m, dtype=np.int64)
-        matched = np.zeros(m, dtype=bool)
-
-    if matched.any():
-        cand_arr = np.asarray(
-            [[(p.x, p.y) for p in cs] for cs in candidate_sets], dtype=float
-        )
-        row_sets = cand_arr[nearest[matched]]
-        chosen = selector.select_index_batch(row_sets)
-        reported_xy[matched] = row_sets[np.arange(len(row_sets)), chosen]
-
-    nomadic = ~matched
-    if nomadic.any():
-        if nomadic_mechanism is not None:
-            # The batch fast path only applies to single-output mechanisms:
-            # an n-fold obfuscate_batch returns (m, n, 2) candidate sets,
-            # not one report per check-in.
-            batch = (
-                getattr(nomadic_mechanism, "obfuscate_batch", None)
-                if nomadic_mechanism.n_outputs == 1
-                else None
-            )
-            if batch is not None:
-                reported_xy[nomadic] = batch(coords[nomadic])
-            else:
-                for i in np.flatnonzero(nomadic):
-                    p = nomadic_mechanism.obfuscate(
-                        Point(float(coords[i, 0]), float(coords[i, 1]))
-                    )[0]
-                    reported_xy[i] = (p.x, p.y)
-        else:
-            # Fresh candidate set + selection per nomadic check-in; the
-            # fresh sets cannot be pinned, so this stays per check-in.
-            for i in np.flatnonzero(nomadic):
-                p = selector.select(
-                    mechanism.obfuscate(
-                        Point(float(coords[i, 0]), float(coords[i, 1]))
-                    )
-                )
-                reported_xy[i] = (p.x, p.y)
-
-    return reported_xy
-
-
-def permanent_obfuscate_batched_xy(
-    coords: np.ndarray,
-    tops_xy: np.ndarray,
-    mechanism: LPPM,
-    selector: OutputSelector,
-    match_radius: float = 100.0,
-    nomadic_mechanism: Optional[LPPM] = None,
-) -> np.ndarray:
-    """Edge-PrivLocAd reporting with batch-pinned candidate sets.
-
-    Same deployment as :func:`permanent_obfuscate_xy` but the candidate
-    sets are pinned with ONE ``mechanism.obfuscate_batch`` call over all
-    top locations (all angles before all radii for the whole set) instead
-    of a per-top ``obfuscate`` loop.  This batched draw order is the
-    per-user reference that the population kernels in
-    :mod:`repro.kernels.obfuscate` reproduce bit for bit; it produces
-    different (equally distributed) noise than :func:`permanent_obfuscate_xy`.
-    ``nomadic_mechanism`` is required — the selector-over-fresh-set
-    fallback has no batched draw order to pin down.
-    """
-    if match_radius <= 0:
-        raise ValueError("match radius must be positive")
-    if nomadic_mechanism is None:
-        raise ValueError(
-            "permanent_obfuscate_batched_xy requires an explicit "
-            "nomadic_mechanism (the fresh-set fallback is per check-in)"
-        )
-    if nomadic_mechanism.n_outputs != 1:
-        raise ValueError(
-            "nomadic mechanism must be single-output, got "
-            f"{nomadic_mechanism.name} with n={nomadic_mechanism.n_outputs}"
-        )
-    coords = np.asarray(coords, dtype=float)
-    tops_xy = np.asarray(tops_xy, dtype=float).reshape(-1, 2)
-    # (k, n, 2) pinned candidates in one draw; size-0 draws are no-ops.
-    candidates = np.asarray(mechanism.obfuscate_batch(tops_xy), dtype=float)
-    m = len(coords)
-    if m == 0:
-        return np.empty((0, 2), dtype=float)
-
-    reported_xy = np.empty((m, 2), dtype=float)
-    if len(tops_xy):
-        d = np.hypot(
-            coords[:, 0, None] - tops_xy[None, :, 0],
-            coords[:, 1, None] - tops_xy[None, :, 1],
-        )
-        nearest = d.argmin(axis=1)
-        matched = d[np.arange(m), nearest] <= match_radius
-    else:
-        nearest = np.zeros(m, dtype=np.int64)
-        matched = np.zeros(m, dtype=bool)
-
-    if matched.any():
-        row_sets = candidates[nearest[matched]]
-        chosen = selector.select_index_batch(row_sets)
-        reported_xy[matched] = row_sets[np.arange(len(row_sets)), chosen]
-
-    nomadic = ~matched
-    if nomadic.any():
-        reported_xy[nomadic] = nomadic_mechanism.obfuscate_batch(
-            coords[nomadic]
-        )
-    return reported_xy
-
-
-def permanent_obfuscate(
-    trace: Sequence[CheckIn],
-    top_locations: Sequence[Point],
-    mechanism: LPPM,
-    selector: OutputSelector,
-    match_radius: float = 100.0,
-    nomadic_mechanism: Optional[LPPM] = None,
-) -> List[CheckIn]:
-    """The Edge-PrivLocAd reporting stream.
-
-    Each top location in ``top_locations`` is obfuscated *once* into a
-    pinned candidate set by ``mechanism`` (the n-fold Gaussian); every
-    check-in within ``match_radius`` of a top location is then reported as
-    a candidate drawn by ``selector``.  Check-ins matching no top location
-    are nomadic and go through ``nomadic_mechanism`` (defaults to
-    ``mechanism`` itself, taking the selector over a fresh candidate set).
-    """
-    tops_xy = np.asarray([(p.x, p.y) for p in top_locations], dtype=float)
-    reported_xy = permanent_obfuscate_xy(
-        checkins_to_array(trace),
-        tops_xy.reshape(-1, 2),
-        mechanism,
-        selector,
-        match_radius=match_radius,
-        nomadic_mechanism=nomadic_mechanism,
-    )
-    return [
-        CheckIn(c.timestamp, Point(float(x), float(y)))
-        for c, (x, y) in zip(trace, reported_xy)
     ]

@@ -11,6 +11,10 @@ quantifies that policy against the two static extremes:
   LOW-risk users keep one-time noise;
 * **all permanent** — every user gets the n-fold treatment.
 
+The n-fold treatment is the Section V edge pipeline itself: the user's
+check-ins replay through a :class:`~repro.serve.actor.UserActor`, so the
+attacked stream is what the deployed edge would release.
+
 Reported per policy: longitudinal attack success (privacy) and the mean
 distance between true and reported locations (report utility).  The
 adaptive policy should track the permanent policy's privacy at a fraction
@@ -21,26 +25,26 @@ routine-heavy ones.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.attack.deobfuscation import DeobfuscationAttack
 from repro.attack.success import UserAttackOutcome, evaluate_user, success_rate
 from repro.core.accounting import LongitudinalExposureAccountant
-from repro.core.gaussian import GaussianMechanism, NFoldGaussianMechanism
+from repro.core.gaussian import NFoldGaussianMechanism
 from repro.core.laplace import PlanarLaplaceMechanism
 from repro.core.mechanism import default_rng
 from repro.core.params import GeoIndBudget
-from repro.core.posterior import PosteriorSelector
-from repro.datagen.obfuscate import one_time_obfuscate, permanent_obfuscate
+from repro.datagen.obfuscate import one_time_obfuscate
 from repro.datagen.population import PopulationConfig, SyntheticUser, iter_population
+from repro.edge.clock import VirtualTimeSource
 from repro.edge.risk import RiskAssessor
 from repro.experiments.config import SMALL, ExperimentScale
 from repro.experiments.tables import ExperimentReport
-from repro.profiles.checkin import CheckIn
-from repro.profiles.frequent import eta_frequent_set
+from repro.geo.point import Point, points_to_array
 from repro.profiles.profile import LocationProfile
+from repro.serve.actor import EdgeConfig, UserActor
 
 __all__ = ["run", "POLICIES"]
 
@@ -56,16 +60,17 @@ def _report_stream(
     assessor: RiskAssessor,
     seed: int,
     accountant: LongitudinalExposureAccountant,
-) -> Tuple[List[CheckIn], bool]:
-    """The user's outgoing stream under a policy; returns (stream, permanent?).
+) -> Tuple[List[Point], bool]:
+    """The user's reported locations under a policy; returns (stream, permanent?).
 
     Every release is charged to ``accountant``: one epsilon-per-metre
-    observation per check-in on the one-time path (they compose), one
-    n-fold release per pinned top on the permanent path (replays of a
-    pinned candidate are free by the sufficient-statistic analysis).
+    observation per check-in on the one-time path (they compose); on the
+    permanent path the user's serve actor releases the stream, and each
+    of its pins and nomadic draws is one epsilon-per-metre release
+    (replays of a pinned candidate are free by the sufficient-statistic
+    analysis).
     """
     profile = LocationProfile.from_checkins(user.trace)
-    rng = default_rng(seed)
     if policy == "all one-time":
         permanent = False
     elif policy == "all permanent":
@@ -77,27 +82,25 @@ def _report_stream(
 
     if not permanent:
         mech = PlanarLaplaceMechanism.from_level(
-            _ONETIME_LEVEL, 200.0, rng=rng
+            _ONETIME_LEVEL, 200.0, rng=default_rng(seed)
         )
-        stream = one_time_obfuscate(user.trace, mech)
+        stream = [c.point for c in one_time_obfuscate(user.trace, mech)]
         accountant.observe(mech.epsilon, count=max(1, len(stream)))
         return stream, False
-    mech = NFoldGaussianMechanism(_DEFENSE_BUDGET, rng=rng)
-    nomadic = GaussianMechanism(_DEFENSE_BUDGET.with_n(1), rng=rng)
-    selector = PosteriorSelector(mech.posterior_sigma, rng=rng)
-    tops = eta_frequent_set(profile, 0.8)
+    # ``seed`` is per user, so user index 0 keys a distinct stream for each.
+    actor = UserActor(
+        str(seed), 0, seed, EdgeConfig(budget=_DEFENSE_BUDGET),
+        time_source=VirtualTimeSource(),
+    )
+    stream = [actor.handle_checkin(c.timestamp, c.x, c.y)[0] for c in user.trace]
     accountant.observe(
-        _DEFENSE_BUDGET.epsilon / _DEFENSE_BUDGET.r, count=max(1, len(tops))
+        _DEFENSE_BUDGET.epsilon / _DEFENSE_BUDGET.r,
+        count=actor.ledger.spends + actor.accountant.observations,
     )
-    return (
-        permanent_obfuscate(
-            user.trace, tops, mech, selector, nomadic_mechanism=nomadic
-        ),
-        True,
-    )
+    return stream, True
 
 
-def _attack_stream(stream: Sequence[CheckIn], permanent: bool):
+def _attack_stream(permanent: bool) -> DeobfuscationAttack:
     mech = (
         NFoldGaussianMechanism(_DEFENSE_BUDGET)
         if permanent
@@ -124,13 +127,9 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentReport:
             )
             protected += int(permanent)
             report_errors.extend(
-                true.point.distance_to(obs.point)
-                for true, obs in zip(user.trace, stream)
+                true.point.distance_to(obs) for true, obs in zip(user.trace, stream)
             )
-            attack = _attack_stream(stream, permanent)
-            inferred = [
-                r.location for r in attack.infer_top_locations(stream, 1)
-            ]
+            inferred = _attack_stream(permanent).estimate_xy(points_to_array(stream), 1)
             outcomes.append(evaluate_user(inferred, user.true_tops[:1]))
         rows.append(
             {

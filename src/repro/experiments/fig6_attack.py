@@ -7,11 +7,15 @@ through either deployment and attacked:
   levels l in {ln 2, ln 4, ln 6} over 200 m (the original geo-IND paper's
   settings).  Paper result: 75-93 % of top-1 locations recovered within
   200 m; >50 % of top-2 at the looser levels.
-* **Edge-PrivLocAd (permanent 10-fold Gaussian)** — top locations receive
-  pinned candidate sets (r = 500 m, eps in {1, 1.5}, delta = 0.01) served
-  through posterior output selection; nomadic check-ins get fresh 1-fold
-  Gaussian noise.  Paper result: <1 % recovered within 200 m, <=6.8 %
-  within 500 m.
+* **Edge-PrivLocAd (permanent 10-fold Gaussian)** — each user's
+  check-ins replay through the serve actor
+  (:class:`~repro.serve.actor.UserActor`), the one definition of the
+  Section V release stream: η-frequent tops are built window by window
+  and pinned to candidate sets (r = 500 m, eps in {1, 1.5},
+  delta = 0.01) served through posterior output selection; every other
+  check-in — including everything before the first window closes — gets
+  fresh 1-fold Gaussian noise.  Paper result: <1 % recovered within
+  200 m, <=6.8 % within 500 m.
 
 The pipeline is columnar end to end: the population travels to pool
 workers as a :class:`~repro.data.columns.PopulationColumns` payload
@@ -27,14 +31,13 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.attack.deobfuscation import DeobfuscationAttack
-from repro.attack.success import UserAttackOutcome, evaluate_user
 from repro.core.accounting import LongitudinalExposureAccountant
-from repro.core.gaussian import GaussianMechanism, NFoldGaussianMechanism
+from repro.core.gaussian import NFoldGaussianMechanism
 from repro.core.laplace import PlanarLaplaceMechanism
 from repro.core.params import GeoIndBudget
 from repro.data.cache import StageCache, stage_key
@@ -42,8 +45,8 @@ from repro.data.columns import PopulationColumns, chunk_csr
 from repro.data.mmapstore import release_pages
 from repro.data.stages import population_columns
 from repro.data.tiers import tier_columns, tier_config
-from repro.datagen.population import PopulationConfig, SyntheticUser
-from repro.edge.location_management import DEFAULT_ETA
+from repro.datagen.population import PopulationConfig
+from repro.edge.clock import VirtualTimeSource
 from repro.experiments.config import (
     PAPER_DELTA,
     PAPER_EPSILONS,
@@ -55,16 +58,13 @@ from repro.experiments.config import (
 )
 from repro.experiments.tables import ExperimentReport
 from repro.geo.point import Point
-from repro.kernels.frequent import population_eta_tops
-from repro.kernels.obfuscate import (
-    one_time_laplace_population,
-    permanent_obfuscate_population,
-)
-from repro.kernels.profiles import population_profiles
+from repro.kernels.obfuscate import one_time_laplace_population
+from repro.metrics.bootstrap import proportion_ci
 from repro.obs.trace import span as _obs_span
 from repro.parallel import parallel_map
+from repro.serve.actor import EdgeConfig, UserActor
 
-__all__ = ["run", "attack_one_time", "attack_defended", "ATTACK_STAGE_VERSION"]
+__all__ = ["run", "ATTACK_STAGE_VERSION"]
 
 THRESHOLDS_M = (200.0, 500.0)
 DEFENSE_R_M = 500.0
@@ -72,7 +72,9 @@ DEFENSE_R_M = 500.0
 #: Bump when the attack stages change output for unchanged parameters.
 #: "2": obfuscation moved to the population kernels — noise now comes
 #: from per-user spawned streams instead of a shared per-chunk rng.
-ATTACK_STAGE_VERSION = "2"
+#: "3": the defended stages replay each user through the serve actor
+#: (windowed tops) instead of a whole-history oracle model.
+ATTACK_STAGE_VERSION = "3"
 
 #: A user's inferred top locations, best first, as plain coordinates.
 InferredXY = List[Tuple[float, float]]
@@ -123,44 +125,43 @@ def _attack_defended_chunk(
 ) -> List[InferredXY]:
     """Chunk worker: Edge-PrivLocAd deployment + attack for one user slice.
 
-    Profiling, eta reduction and the full permanent reporting stream are
-    population-kernel passes over the chunk's CSR slice
-    (:func:`population_profiles` / :func:`population_eta_tops` /
-    :func:`permanent_obfuscate_population`); per-user spawned streams
-    make the output invariant to chunking, so the chunk rng is unused.
+    Each user's check-ins are replayed in trace order through a fresh
+    :class:`~repro.serve.actor.UserActor` — the Section V edge pipeline
+    that ``repro simulate`` runs on the serve shards — so the attacked
+    stream is exactly what the edge releases: η-frequent tops built
+    window by window, fresh nomadic noise until a window closes.  The
+    actor seeds its own spawn-keyed stream from ``(seed, user id)`` and
+    charges its own ledger and accountant, so the output is invariant to
+    chunking and the chunk rng is unused.
     """
     pop, epsilon, n, seed = payload
     budget = GeoIndBudget(r=DEFENSE_R_M, epsilon=epsilon, delta=PAPER_DELTA, n=n)
-    mechanism = NFoldGaussianMechanism(budget)
-    nomadic_sigma = GaussianMechanism(budget.with_n(1)).sigma
-    attack = DeobfuscationAttack.against(mechanism)
+    config = EdgeConfig(budget=budget)
+    attack = DeobfuscationAttack.against(NFoldGaussianMechanism(budget))
     ck = pop.checkins
-    lo, hi = indices[0], indices[-1] + 1
-    cxs, cys, coffsets = chunk_csr(ck.xs, ck.ys, ck.offsets, lo, hi)
+    streams = []
     with _obs_span("fig6.obfuscation", deployment="defended", users=len(indices)):
-        profiles = population_profiles(cxs, cys, coffsets)
-        top_xs, top_ys, top_offsets = population_eta_tops(profiles, DEFAULT_ETA)
-        reported = permanent_obfuscate_population(
-            cxs, cys, coffsets, top_xs, top_ys, top_offsets,
-            sigma=mechanism.sigma, n=n,
-            posterior_sigma=mechanism.posterior_sigma,
-            nomadic_sigma=nomadic_sigma, seed=seed,
-            user_ids=np.arange(lo, hi, dtype=np.int64),
-        )
-        # Permanent deployment spends once per pinned top location (the
-        # n-fold release); replayed reports of a pinned top are free by
-        # the sufficient-statistic analysis, which is the entire defence.
-        LongitudinalExposureAccountant().observe(
-            budget.epsilon / budget.r, count=max(1, int(top_xs.size))
-        )
+        for uid in indices:
+            # The actor is a per-event state machine (a window rollover
+            # pins tops mid-stream), so the replay is one user and one
+            # check-in at a time by construction.
+            sl = ck.user_slice(uid)  # reprolint: disable=PERF002
+            actor = UserActor(
+                str(uid), uid, seed, config, time_source=VirtualTimeSource()
+            )
+            reported = np.empty((sl.stop - sl.start, 2))
+            for k, (t, x, y) in enumerate(
+                zip(ck.timestamps[sl].tolist(), ck.xs[sl].tolist(), ck.ys[sl].tolist())
+            ):
+                point, _ = actor.handle_checkin(t, x, y)
+                reported[k] = point.x, point.y
+            streams.append(reported)
     with _obs_span("fig6.attack", deployment="defended", users=len(indices)):
         out = []
-        for j in range(len(indices)):
-            inferred = attack.estimate_xy(
-                reported[coffsets[j]:coffsets[j + 1]], 2
-            )
+        for reported in streams:
+            inferred = attack.estimate_xy(reported, 2)
             out.append([(p.x, p.y) for p in inferred])
-    release_pages(ck.xs, ck.ys, ck.offsets)
+    release_pages(ck.xs, ck.ys, ck.timestamps, ck.offsets)
     return out
 
 
@@ -209,40 +210,6 @@ def _error_rows(inferred: List[InferredXY], pop: PopulationColumns) -> np.ndarra
             else:
                 errors[i, k] = np.inf
     return errors
-
-
-def _outcomes(
-    inferred: List[InferredXY], pop: PopulationColumns
-) -> List[UserAttackOutcome]:
-    return [
-        evaluate_user(
-            [Point(x, y) for x, y in guesses], pop.user_true_tops(i)[:2]
-        )
-        for i, guesses in enumerate(inferred)
-    ]
-
-
-def attack_one_time(
-    users: Sequence[SyntheticUser],
-    level: float,
-    seed: int,
-    workers: Optional[int] = 1,
-) -> List[UserAttackOutcome]:
-    """Attack a population deployed behind one-time planar Laplace noise."""
-    pop = PopulationColumns.from_users(users)
-    return _outcomes(_infer_one_time(pop, level, seed, workers), pop)
-
-
-def attack_defended(
-    users: Sequence[SyntheticUser],
-    epsilon: float,
-    seed: int,
-    n: int = PAPER_NFOLD_N,
-    workers: Optional[int] = 1,
-) -> List[UserAttackOutcome]:
-    """Attack a population deployed behind the permanent n-fold mechanism."""
-    pop = PopulationColumns.from_users(users)
-    return _outcomes(_infer_defended(pop, epsilon, seed, n, workers), pop)
 
 
 def _rates_from_errors(errors: np.ndarray) -> Dict[str, float]:
@@ -324,6 +291,7 @@ def run(
         return errors
 
     rows = []
+    ci_notes: List[str] = []
     for level in PAPER_ONETIME_LEVELS:
         errors = stage_errors(
             "fig6-onetime",
@@ -352,6 +320,13 @@ def run(
                 **_rates_from_errors(errors),
             }
         )
+        top1 = errors[:, 0][~np.isnan(errors[:, 0])]
+        if top1.size:
+            ci = proportion_ci(int((top1 <= THRESHOLDS_M[1]).sum()), int(top1.size))
+            ci_notes.append(
+                f"eps={epsilon}: defended top-1 within 500 m {ci.estimate:.1%}, "
+                f"95% bootstrap CI [{ci.low:.1%}, {ci.high:.1%}] (paper 6.8%)"
+            )
     return ExperimentReport(
         experiment_id="fig6",
         title="longitudinal attack success rate",
@@ -362,6 +337,7 @@ def run(
             "top-2 >50% (ln4, ln6)",
             "paper: defended top-1/top-2 within 200 m <1%; within 500 m "
             "6.8% / 5%",
+            *ci_notes,
         ],
         meta={
             "workers": workers,

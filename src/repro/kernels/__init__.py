@@ -15,8 +15,9 @@ supersedes:
 * :mod:`repro.kernels.gaussian` — batched n-fold Gaussian pinning with
   per-user ``SeedSequence.spawn`` streams preserved, every stream of a
   chunk seeded in one array pass (``user_uniforms``).
-* :mod:`repro.kernels.obfuscate` — full reporting streams (one-time
-  Laplace and Edge-PrivLocAd permanent deployment) per shard.
+* :mod:`repro.kernels.obfuscate` — the one-time Laplace reporting
+  stream per shard (the Edge-PrivLocAd stream is the serve actor's,
+  :class:`repro.serve.actor.UserActor`).
 
 The property suite (``tests/property/test_kernel_equivalence.py``) pins
 every kernel against its per-user reference.
@@ -29,11 +30,7 @@ from repro.kernels.gaussian import (
     user_rng,
     user_uniforms,
 )
-from repro.kernels.obfuscate import (
-    match_tops_population,
-    one_time_laplace_population,
-    permanent_obfuscate_population,
-)
+from repro.kernels.obfuscate import one_time_laplace_population
 from repro.kernels.profiles import ProfileColumns, population_profiles
 
 __all__ = [
@@ -45,7 +42,5 @@ __all__ = [
     "user_rng",
     "user_uniforms",
     "pin_candidates_population",
-    "match_tops_population",
     "one_time_laplace_population",
-    "permanent_obfuscate_population",
 ]

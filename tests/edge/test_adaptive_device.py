@@ -62,7 +62,15 @@ class TestAdaptiveDevice:
         assert permanent
 
     def test_adaptive_routine_user_served_from_pins(self):
-        stream, _ = report(routine_user(), "adaptive")
-        # Every check-in is at HOME, a top location: the reports are draws
-        # from its pinned n-candidate set (n = 10), never fresh noise.
-        assert len({(c.x, c.y) for c in stream}) <= 10
+        user = routine_user(days=100)
+        stream, _ = report(user, "adaptive")
+        # Every check-in is at HOME.  The edge learns its top locations
+        # when a profile window closes (90 days, Section V-B); until then
+        # each report is fresh noise, and from the rollover on the reports
+        # are draws from HOME's pinned n-candidate set (n = 10).
+        first_window = [c.timestamp < 90 * DAY for c in user.trace]
+        fresh = [p for p, early in zip(stream, first_window) if early]
+        pinned = [p for p, early in zip(stream, first_window) if not early]
+        assert len({(c.x, c.y) for c in fresh}) == len(fresh)
+        assert pinned
+        assert len({(c.x, c.y) for c in pinned}) <= 10

@@ -8,12 +8,13 @@ from repro.core.gaussian import NFoldGaussianMechanism
 from repro.core.laplace import PlanarLaplaceMechanism
 from repro.core.mechanism import default_rng
 from repro.core.params import GeoIndBudget
-from repro.core.posterior import PosteriorSelector
 from repro.datagen.casestudy import make_fig4_user
-from repro.datagen.obfuscate import one_time_obfuscate, permanent_obfuscate
+from repro.datagen.obfuscate import one_time_obfuscate
 from repro.edge.risk import RiskAssessor, RiskLevel, self_attack_margin
 from repro.geo.point import Point
+from repro.profiles.checkin import CheckIn
 from repro.profiles.profile import LocationProfile, ProfileEntry
+from repro.serve.harness import run_population
 
 
 def profile_of(freqs):
@@ -69,13 +70,13 @@ class TestSelfAttackMargin:
 
     def test_permanent_deployment_has_wide_margin(self):
         user = make_fig4_user()
-        budget = GeoIndBudget(500.0, 1.0, 0.01, 10)
-        rng = default_rng(2)
-        mech = NFoldGaussianMechanism(budget, rng=rng)
-        selector = PosteriorSelector(mech.posterior_sigma, rng=rng)
-        profile = LocationProfile.from_checkins(user.trace)
-        tops = [e.location for e in profile.top(2)]
-        reported = permanent_obfuscate(user.trace, tops, mech, selector)
+        mech = NFoldGaussianMechanism(GeoIndBudget(500.0, 1.0, 0.01, 10))
+        # The deployed edge's egress, one response per check-in in order.
+        responses = run_population([user], seed=2).responses
+        reported = [
+            CheckIn(c.timestamp, Point(r.reported_x, r.reported_y))
+            for c, r in zip(user.trace, responses)
+        ]
         margin = self_attack_margin(reported, user.true_tops, mech)
         assert margin > 300.0
 

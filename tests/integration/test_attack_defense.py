@@ -17,9 +17,10 @@ from repro.core.laplace import PlanarLaplaceMechanism
 from repro.core.mechanism import default_rng
 from repro.core.params import GeoIndBudget
 from repro.core.posterior import PosteriorSelector
-from repro.datagen.obfuscate import one_time_obfuscate, permanent_obfuscate
-from repro.profiles.frequent import eta_frequent_set
-from repro.profiles.profile import LocationProfile
+from repro.datagen.obfuscate import one_time_obfuscate
+from repro.profiles.checkin import CheckIn
+from repro.serve.egress import attack_egress
+from repro.serve.harness import run_population
 
 
 @pytest.fixture(scope="module")
@@ -53,21 +54,15 @@ class TestOneTimeGeoIndIsVulnerable:
 
 class TestPermanentDefenseHolds:
     def test_defended_attack_fails(self, population):
-        budget = GeoIndBudget(500.0, 1.0, 0.01, 10)
-        rng = default_rng(19)
-        mech = NFoldGaussianMechanism(budget, rng=rng)
-        nomadic = GaussianMechanism(budget.with_n(1), rng=rng)
-        selector = PosteriorSelector(mech.posterior_sigma, rng=rng)
-        attack = DeobfuscationAttack.against(mech)
-        outcomes = []
-        for u in population:
-            profile = LocationProfile.from_checkins(u.trace)
-            tops = eta_frequent_set(profile, 0.8)
-            reported = permanent_obfuscate(
-                u.trace, tops, mech, selector, nomadic_mechanism=nomadic
-            )
-            inferred = [r.location for r in attack.infer_top_locations(reported, 1)]
-            outcomes.append(evaluate_user(inferred, u.true_tops[:1]))
+        attack = DeobfuscationAttack.against(
+            NFoldGaussianMechanism(GeoIndBudget(500.0, 1.0, 0.01, 10))
+        )
+        # The deployed edge: every check-in served by the user's actor.
+        inferred = attack_egress(run_population(population, seed=19).responses, attack, 1)
+        outcomes = [
+            evaluate_user(inferred.get(i, []), u.true_tops[:1])
+            for i, u in enumerate(population)
+        ]
         assert success_rate(outcomes, 1, 200.0) <= 0.2
         # The defense's errors are dominated by the pinned noise scale.
         assert success_rate(outcomes, 1, 500.0) <= 0.3
@@ -88,8 +83,6 @@ class TestPermanentDefenseHolds:
         )
         user = max(population, key=lambda u: u.n_checkins)
         # Broken deployment: fresh candidate set per check-in.
-        from repro.profiles.checkin import CheckIn
-
         reported = [
             CheckIn(c.timestamp, selector.select(mech.obfuscate(c.point)))
             for c in user.trace
@@ -97,12 +90,9 @@ class TestPermanentDefenseHolds:
         top1 = attack.infer_top_locations(reported, 1)[0].location
         err_broken = top1.distance_to(user.true_tops[0])
 
-        # Correct permanent deployment on the same user.
-        profile = LocationProfile.from_checkins(user.trace)
-        tops = eta_frequent_set(profile, 0.8)
-        pinned = permanent_obfuscate(user.trace, tops, mech, selector)
-        attack2 = DeobfuscationAttack.against(mech)
-        top1_pinned = attack2.infer_top_locations(pinned, 1)[0].location
+        # Correct permanent deployment on the same user: the edge actor.
+        pinned = run_population([user], seed=20).responses
+        top1_pinned = attack_egress(pinned, DeobfuscationAttack.against(mech), 1)[0][0]
         err_pinned = top1_pinned.distance_to(user.true_tops[0])
 
         assert err_broken < err_pinned

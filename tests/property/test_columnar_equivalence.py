@@ -11,18 +11,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gaussian import GaussianMechanism, NFoldGaussianMechanism
 from repro.core.laplace import PlanarLaplaceMechanism
 from repro.core.mechanism import default_rng
-from repro.core.params import GeoIndBudget
-from repro.core.posterior import PosteriorSelector
 from repro.data.columns import PopulationColumns
-from repro.datagen.obfuscate import (
-    one_time_obfuscate,
-    one_time_obfuscate_xy,
-    permanent_obfuscate,
-    permanent_obfuscate_xy,
-)
+from repro.datagen.obfuscate import one_time_obfuscate, one_time_obfuscate_xy
 from repro.datagen.population import PopulationConfig, generate_population
 from repro.edge.location_management import DEFAULT_ETA
 from repro.profiles.checkin import checkins_to_array
@@ -38,10 +30,6 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 def _population(seed):
     return generate_population(PopulationConfig(n_users=4, seed=seed))
-
-
-def _budget(n=10):
-    return GeoIndBudget(r=500.0, epsilon=1.0, delta=0.01, n=n)
 
 
 class TestColumnarPopulation:
@@ -91,69 +79,6 @@ class TestObfuscationEquivalence:
         via_objects = one_time_obfuscate(trace, mech_obj)
         via_xy = one_time_obfuscate_xy(checkins_to_array(trace), mech_xy)
         assert len(via_objects) == len(via_xy)
-        for c, (x, y) in zip(via_objects, via_xy):
-            assert c.point.x == x
-            assert c.point.y == y
-
-    @given(seeds)
-    @settings(max_examples=4, deadline=None)
-    def test_permanent_xy_matches_object_path(self, seed):
-        """The Edge-PrivLocAd stream is identical on both code paths."""
-        users = _population(seed)
-        trace = users[0].trace
-        coords = checkins_to_array(trace)
-        profile = LocationProfile.from_coords(coords)
-        tops = eta_frequent_set(profile, DEFAULT_ETA)
-
-        def build():
-            rng = default_rng(seed + 1)
-            mechanism = NFoldGaussianMechanism(_budget(), rng=rng)
-            nomadic = GaussianMechanism(_budget().with_n(1), rng=rng)
-            selector = PosteriorSelector(mechanism.posterior_sigma, rng=rng)
-            return mechanism, selector, nomadic
-
-        mechanism, selector, nomadic = build()
-        via_objects = permanent_obfuscate(
-            trace, tops, mechanism, selector, nomadic_mechanism=nomadic
-        )
-        mechanism, selector, nomadic = build()
-        via_xy = permanent_obfuscate_xy(
-            coords,
-            np.asarray([(p.x, p.y) for p in tops], dtype=float).reshape(-1, 2),
-            mechanism,
-            selector,
-            nomadic_mechanism=nomadic,
-        )
-        assert len(via_objects) == len(via_xy)
-        for c, (x, y) in zip(via_objects, via_xy):
-            assert c.point.x == x
-            assert c.point.y == y
-
-    @given(seeds)
-    @settings(max_examples=4, deadline=None)
-    def test_permanent_xy_fresh_nomadic_matches(self, seed):
-        """The selector-over-fresh-set nomadic variant is also identical."""
-        users = _population(seed)
-        trace = users[1].trace
-        coords = checkins_to_array(trace)
-        profile = LocationProfile.from_coords(coords)
-        tops = eta_frequent_set(profile, DEFAULT_ETA)
-
-        def build():
-            rng = default_rng(seed + 2)
-            mechanism = NFoldGaussianMechanism(_budget(), rng=rng)
-            selector = PosteriorSelector(mechanism.posterior_sigma, rng=rng)
-            return mechanism, selector
-
-        mechanism, selector = build()
-        via_objects = permanent_obfuscate(trace, tops, mechanism, selector)
-        mechanism, selector = build()
-        via_xy = permanent_obfuscate_xy(
-            coords,
-            np.asarray([(p.x, p.y) for p in tops], dtype=float).reshape(-1, 2),
-            mechanism,
-            selector,
-        )
         for c, (x, y) in zip(via_objects, via_xy):
             assert c.point.x == x
             assert c.point.y == y

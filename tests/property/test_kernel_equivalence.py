@@ -13,21 +13,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gaussian import GaussianMechanism, NFoldGaussianMechanism
+from repro.core.gaussian import NFoldGaussianMechanism
 from repro.core.laplace import PlanarLaplaceMechanism
 from repro.core.params import GeoIndBudget
-from repro.core.posterior import PosteriorSelector
 from repro.data.columns import PopulationColumns, chunk_csr
-from repro.datagen.obfuscate import (
-    one_time_obfuscate_xy,
-    permanent_obfuscate_batched_xy,
-)
+from repro.datagen.obfuscate import one_time_obfuscate_xy
 from repro.datagen.population import PopulationConfig, generate_population
 from repro.edge.location_management import DEFAULT_ETA
 from repro.geo.index import component_labels
 from repro.kernels import (
     one_time_laplace_population,
-    permanent_obfuscate_population,
     pin_candidates_population,
     population_component_labels,
     population_eta_counts,
@@ -147,47 +142,6 @@ class TestObfuscationKernels:
                 level, 200.0, rng=user_rng(seed, i)
             )
             ref = one_time_obfuscate_xy(ck.user_coords(i), mechanism)
-            np.testing.assert_array_equal(reported[sl], ref)
-
-    @given(seeds)
-    @settings(max_examples=4, deadline=None)
-    def test_permanent_matches_per_user_batched_xy(self, seed):
-        """Edge-PrivLocAd shard stream equals per-user batched reference."""
-        ck = _checkins(seed)
-        profiles = population_profiles(ck.xs, ck.ys, ck.offsets)
-        top_xs, top_ys, top_offsets = population_eta_tops(
-            profiles, DEFAULT_ETA
-        )
-        budget = _budget()
-        shared = NFoldGaussianMechanism(budget)
-        nomadic_sigma = GaussianMechanism(budget.with_n(1)).sigma
-        reported = permanent_obfuscate_population(
-            ck.xs,
-            ck.ys,
-            ck.offsets,
-            top_xs,
-            top_ys,
-            top_offsets,
-            sigma=shared.sigma,
-            n=budget.n,
-            posterior_sigma=shared.posterior_sigma,
-            nomadic_sigma=nomadic_sigma,
-            seed=seed,
-        )
-        for i in range(ck.n_users):
-            sl = slice(int(ck.offsets[i]), int(ck.offsets[i + 1]))
-            tsl = slice(int(top_offsets[i]), int(top_offsets[i + 1]))
-            rng = user_rng(seed, i)
-            mechanism = NFoldGaussianMechanism(budget, rng=rng)
-            selector = PosteriorSelector(mechanism.posterior_sigma, rng=rng)
-            nomadic = GaussianMechanism(budget.with_n(1), rng=rng)
-            ref = permanent_obfuscate_batched_xy(
-                ck.user_coords(i),
-                np.column_stack((top_xs[tsl], top_ys[tsl])),
-                mechanism,
-                selector,
-                nomadic_mechanism=nomadic,
-            )
             np.testing.assert_array_equal(reported[sl], ref)
 
 
