@@ -9,8 +9,6 @@ attack threshold itself.
 
 import math
 
-import numpy as np
-
 from repro.attack.deobfuscation import DeobfuscationAttack
 from repro.core.discretization import TruncatedDiscreteLaplaceMechanism
 from repro.core.laplace import PlanarLaplaceMechanism

@@ -41,9 +41,9 @@ def _run() -> ExperimentReport:
 
     # Score: a link group is correct when every member shares one owner.
     pure = sum(
-        1 for l in links if len({truth[d] for d in l.device_ids}) == 1
+        1 for link in links if len({truth[d] for d in link.device_ids}) == 1
     )
-    paired = sum(1 for l in links if l.size >= 2)
+    paired = sum(1 for link in links if link.size >= 2)
     rows = [
         {
             "devices": len(observations),

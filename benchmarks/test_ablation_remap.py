@@ -23,7 +23,6 @@ from repro.core.remap import BayesianRemap, LocationPrior, planar_laplace_noise_
 from repro.datagen.casestudy import make_fig4_user
 from repro.datagen.obfuscate import one_time_obfuscate
 from repro.experiments.tables import ExperimentReport
-from repro.geo.point import Point
 from repro.profiles.checkin import CheckIn, checkins_to_array
 
 
@@ -42,7 +41,6 @@ def _run() -> ExperimentReport:
     remapped = [CheckIn(c.timestamp, remap.remap(c.point)) for c in observed]
 
     # Per-report utility (only top-1 visits, where the prior is informative).
-    top1_reports = [c for c in user.trace if c.point.distance_to(home) < 100.0]
     idx = [i for i, c in enumerate(user.trace) if c.point.distance_to(home) < 100.0]
     raw_err = float(
         np.mean([observed[i].point.distance_to(home) for i in idx])

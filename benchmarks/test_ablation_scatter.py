@@ -10,8 +10,6 @@ irrelevant.  The n-fold mechanism is the only one strong on both metrics,
 which is the real content of the paper's Figure 7 + Figure 9 pair.
 """
 
-import numpy as np
-
 from conftest import BENCH
 
 from repro.core.baselines import NaivePostProcessingMechanism

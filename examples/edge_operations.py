@@ -19,8 +19,6 @@ mechanism:
 
 import tempfile
 
-import numpy as np
-
 from repro.core import (
     GeoIndBudget,
     NFoldGaussianMechanism,

@@ -13,8 +13,6 @@ budget:
 * advertising efficacy with posterior vs uniform output selection.
 """
 
-import numpy as np
-
 from repro.core import (
     GeoIndBudget,
     NFoldGaussianMechanism,

@@ -106,7 +106,6 @@ class FlowPolicy:
     cache_store_qnames: FrozenSet[str] = frozenset(
         {
             "repro.data.cache.StageCache.store",
-            "repro.data.mmapstore.MmapStore.store",
             # Fleet checkpoints persist whole actor snapshots — including
             # the open profile window's true check-ins — so every write
             # is an audited artifact, same as the stage caches.

@@ -25,8 +25,8 @@ The work-running subcommands (``experiments``, ``simulate``, ``serve``,
 ``fleet``, ``attack``, ``verify``) share ``--seed S`` and ``--trace PATH``
 (record a :mod:`repro.obs` trace, inspected with ``repro obs``).  The
 data-plane flags (``--workers N``, ``--cache/--no-cache``, ``--tier``,
-``--mmap``, ``--no-shm``, ``--cache-dir``) are registered only on the
-subcommands that honour them: ``experiments`` and ``fleet``.
+``--mmap``, ``--cache-dir``) are registered only on the
+subcommand that honours them: ``experiments``.
 
 (Equivalent to ``python -m repro.cli ...``; also installed as the
 ``repro`` console script.)
@@ -91,9 +91,8 @@ def _common_options() -> argparse.ArgumentParser:
 def _data_plane_options() -> argparse.ArgumentParser:
     """The data-plane flags, for the subcommands that build a ``DataPlaneConfig``.
 
-    The flags come from :mod:`repro.data.plane`, so ``experiments`` and
-    ``fleet`` document them identically and each handler turns them into
-    one :class:`~repro.data.plane.DataPlaneConfig`.
+    The flags come from :mod:`repro.data.plane`; the handler turns them
+    into one :class:`~repro.data.plane.DataPlaneConfig`.
     """
     from repro.data.plane import add_data_plane_arguments
 
@@ -205,14 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="run the serve workload under deterministic fault injection "
         "(see docs/fleet.md)",
-        parents=[common, plane],
+        parents=[common],
     )
     flt_sub = p_flt.add_subparsers(dest="fleet_command", required=True)
     p_flt_run = flt_sub.add_parser(
         "run",
         help="run one scenario (a built-in name or a YAML/JSON file) "
         "against the seeded serve workload",
-        parents=[common, plane],
+        parents=[common],
     )
     p_flt_run.add_argument(
         "scenario",
@@ -304,31 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.data.plane import DataPlaneConfig
-    from repro.experiments.runner import main as runner_main
+    from repro.experiments.runner import RequestError, run_experiments
 
     try:
         plane = DataPlaneConfig.from_args(args)
     except ValueError as exc:
         print(f"repro experiments: error: {exc}", file=sys.stderr)
         return 2
-    argv = list(args.ids) + ["--scale", args.scale]
-    if plane.workers is not None:
-        argv += ["--workers", str(plane.workers)]
-    if plane.cache:
-        argv += ["--cache"]
-    if plane.tier is not None:
-        argv += ["--tier", plane.tier]
-    if plane.mmap:
-        argv += ["--mmap"]
-    if not plane.shm:
-        argv += ["--no-shm"]
-    if plane.cache_dir is not None:
-        argv += ["--cache-dir", str(plane.cache_dir)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.trace is not None:
-        argv += ["--trace", args.trace]
-    return runner_main(argv)
+    try:
+        return run_experiments(
+            args.ids, args.scale, plane, seed=args.seed, trace=args.trace
+        )
+    except RequestError as exc:
+        print(f"repro experiments: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -418,15 +406,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
-    from repro.data.plane import DataPlaneConfig
     from repro.fleet import bench_fleet_payload, run_fleet
 
-    try:
-        plane = DataPlaneConfig.from_args(args)
-    except ValueError as exc:
-        print(f"repro fleet: error: {exc}", file=sys.stderr)
-        return 2
-    plane.apply()
     if args.bench_json is not None and not args.baseline:
         print(
             "repro fleet: error: --bench-json needs --baseline "

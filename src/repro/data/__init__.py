@@ -9,16 +9,16 @@ counterparts:
   CSR-layout struct-of-arrays containers with converters to and from the
   existing object types;
 * :mod:`repro.data.cache` — a content-addressed stage cache that keys
-  each expensive pipeline stage on a canonical hash of its config and
-  stores ``.npz`` artifacts;
+  each expensive pipeline stage on a canonical hash of its config;
+* :mod:`repro.data.mmapstore` — the cache's one artifact format:
+  ``.npy`` bundles whose large arrays open as ``np.memmap`` views, so
+  million-user tiers load as lazily paged file-backed arrays instead of
+  heap copies and pool workers attach them by path+offset;
 * :mod:`repro.data.stages` — cached builders for the shared pipeline
   stages (population generation, coordinate pools, candidate tables);
-* :mod:`repro.data.mmapstore` — the out-of-core sibling of the cache:
-  ``.npy`` bundles opened with ``np.memmap`` so million-user tiers load
-  as lazily paged file-backed arrays instead of heap copies;
 * :mod:`repro.data.plane` — :class:`~repro.data.plane.DataPlaneConfig`,
   the one frozen config (and shared argparse flags) for the
-  workers/cache/tier/mmap/shm knobs every CLI driver used to re-plumb.
+  workers/cache/tier/mmap knobs every CLI driver used to re-plumb.
 
 Everything here preserves bit-identical results: the columns hold exactly
 the values the object path produced, and cached stage outputs are only
@@ -27,7 +27,7 @@ reused for configs whose outputs are deterministic functions of the key.
 
 from repro.data.cache import DEFAULT_CACHE_DIR, StageCache, stage_key
 from repro.data.columns import CheckInColumns, PopulationColumns
-from repro.data.mmapstore import MmapStore, release_pages
+from repro.data.mmapstore import release_pages
 from repro.data.plane import DataPlaneConfig, add_data_plane_arguments
 from repro.data.stages import (
     CANDIDATE_TABLE_STAGE_VERSION,
@@ -42,7 +42,6 @@ __all__ = [
     "DataPlaneConfig",
     "PopulationColumns",
     "add_data_plane_arguments",
-    "MmapStore",
     "release_pages",
     "StageCache",
     "stage_key",

@@ -9,25 +9,36 @@ caching sound — the cache key is a canonical hash of the stage name, its
 parameters and a per-stage code version, and a hit returns exactly the
 arrays a fresh run would have produced.
 
-Artifacts are ``.npz`` files under ``benchmarks/results/cache/`` (override
-with the ``REPRO_CACHE_DIR`` environment variable).  Bump the stage's
-version constant whenever its code changes results; old entries simply
-stop being addressed and can be dropped with :meth:`StageCache.clear` or
-``repro experiments <id> --no-cache``.
+Every artifact is a ``.npy`` bundle (:mod:`repro.data.mmapstore`) in its
+own ``<key>/`` directory of the cache directory: ``benchmarks/results/cache/``
+unless ``REPRO_CACHE_DIR`` or an explicit directory says otherwise.
+Large arrays load as read-only maps that pool workers attach by
+path+offset; small ones load eagerly.  Bump the stage's version constant
+whenever its code changes results; old entries simply stop being
+addressed and can be dropped with :meth:`StageCache.clear`.  Single-file
+archives left by older checkouts are never read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
-import tempfile
+import shutil
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional
 
 import numpy as np
 
+from repro.data.mmapstore import (
+    MANIFEST_NAME,
+    BundleWriter,
+    Specs,
+    is_writer_tmp,
+    read_bundle,
+)
 from repro.obs.trace import enabled as _obs_enabled
 from repro.obs.trace import get_registry as _obs_registry
 
@@ -101,7 +112,8 @@ class StageCache:
 
     A disabled cache (``StageCache(enabled=False)``) never hits and never
     writes, which lets callers thread one object through unconditionally.
-    Corrupt or truncated artifacts are treated as misses and removed.
+    Loaded arrays are read-only.  Corrupt or truncated bundles are
+    treated as misses and removed.
     """
 
     def __init__(
@@ -119,59 +131,64 @@ class StageCache:
         return cls(enabled=False)
 
     def path_for(self, key: str) -> Path:
-        """The artifact path a key addresses (may not exist)."""
-        return self.directory / f"{key}.npz"
+        """The manifest of the bundle a key addresses.
+
+        It exists exactly when the bundle is published: the manifest is
+        written last and the bundle directory renamed into place whole.
+        """
+        return self.directory / key / MANIFEST_NAME
+
+    def _miss(self) -> None:
+        self.misses += 1
+        _record_cache_event("misses")
+
+    def _stored(self, nbytes: int) -> None:
+        self.stores += 1
+        _record_cache_event("stores", nbytes)
 
     def load(self, key: str) -> Optional[Dict[str, np.ndarray]]:
         """The stored arrays for ``key``, or ``None`` on a miss."""
-        if not self.enabled:
-            self.misses += 1
-            _record_cache_event("misses")
-            return None
-        path = self.path_for(key)
-        if not path.is_file():
-            self.misses += 1
-            _record_cache_event("misses")
+        manifest = self.path_for(key)
+        if not self.enabled or not manifest.is_file():
+            if self.enabled and manifest.parent.is_dir():
+                # Bundles are published whole, manifest included, so a
+                # directory without one is damaged: drop it so the
+                # recompute can publish in its place.
+                shutil.rmtree(manifest.parent, ignore_errors=True)
+            self._miss()
             return None
         try:
-            nbytes = path.stat().st_size
-            with np.load(path) as npz:
-                arrays = {name: npz[name] for name in npz.files}
-        except (OSError, ValueError, EOFError, KeyError):
-            # Truncated/corrupt artifact: drop it and recompute.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.misses += 1
-            _record_cache_event("misses")
+            arrays, nbytes = read_bundle(manifest.parent)
+        except (OSError, ValueError, EOFError, KeyError, TypeError) as exc:
+            if getattr(exc, "errno", None) in (errno.EMFILE, errno.ENFILE):
+                # Out of file descriptors (each map holds one): the
+                # bundle is fine, so keep it and let the caller fail.
+                raise
+            # Truncated/corrupt bundle: drop it and recompute.
+            shutil.rmtree(manifest.parent, ignore_errors=True)
+            self._miss()
             return None
         self.hits += 1
         _record_cache_event("hits", nbytes)
         return arrays
 
     def store(self, key: str, arrays: Mapping[str, np.ndarray]) -> Optional[Path]:
-        """Persist an array bundle atomically; returns the path (None if disabled)."""
+        """Persist an array bundle atomically; returns its manifest path.
+
+        Returns ``None`` (and writes nothing) when the cache is disabled.
+        """
         if not self.enabled:
             return None
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key}.", suffix=".npz.tmp", dir=str(self.directory)
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, **dict(arrays))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.stores += 1
-        _record_cache_event("stores", path.stat().st_size)
-        return path
+        specs = {name: (tuple(arr.shape), arr.dtype.str) for name, arr in arrays.items()}
+        with self.writer(key, specs) as writer:
+            for name, arr in arrays.items():
+                if writer.arrays[name].size:
+                    writer.arrays[name][...] = arr
+        return self.path_for(key)
+
+    def writer(self, key: str, specs: Specs) -> BundleWriter:
+        """A streaming :class:`BundleWriter` for ``key`` (shapes known upfront)."""
+        return BundleWriter(self.directory / key, specs, on_commit=self._stored)
 
     def get_or_compute(
         self,
@@ -187,24 +204,23 @@ class StageCache:
         return arrays
 
     def clear(self) -> int:
-        """Remove every artifact in the cache directory; returns the count.
+        """Remove every bundle in the cache directory; returns the count.
 
-        Also clears the sibling ``mmap/`` bundle store — a "cold" bench
-        run must regenerate the out-of-core tiers too, not silently warm
-        itself from their ``.npy`` bundles.
+        Only what the cache wrote goes: published bundles (directories
+        holding a manifest) and crashed writers' temporary directories.
+        Anything else in the directory is left alone, so pointing the
+        cache at a directory it does not own cannot destroy unrelated
+        files.
         """
         removed = 0
         if not self.directory.is_dir():
             return removed
-        for path in self.directory.glob("*.npz"):
-            try:
-                path.unlink()
+        for entry in sorted(self.directory.iterdir()):
+            if not entry.is_dir() or entry.is_symlink():
+                continue
+            if (entry / MANIFEST_NAME).is_file() or is_writer_tmp(entry):
+                shutil.rmtree(entry, ignore_errors=True)
                 removed += 1
-            except OSError:
-                pass
-        from repro.data.mmapstore import MmapStore
-
-        removed += MmapStore.for_cache_dir(self.directory).clear()
         return removed
 
     def stats(self) -> Dict[str, int]:

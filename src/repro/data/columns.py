@@ -164,7 +164,7 @@ class CheckInColumns:
         return out
 
     def arrays(self) -> Dict[str, np.ndarray]:
-        """The raw arrays keyed for ``.npz`` storage."""
+        """The raw arrays keyed for stage-cache storage."""
         return {
             "xs": self.xs,
             "ys": self.ys,
@@ -269,7 +269,7 @@ class PopulationColumns:
         )
 
     def arrays(self) -> Dict[str, np.ndarray]:
-        """The raw arrays keyed for ``.npz`` storage."""
+        """The raw arrays keyed for stage-cache storage."""
         out = self.checkins.arrays()
         out.update(
             top_xs=self.top_xs, top_ys=self.top_ys, top_offsets=self.top_offsets

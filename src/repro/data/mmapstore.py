@@ -1,29 +1,27 @@
-"""Out-of-core array bundles: ``.npy`` files served through ``np.memmap``.
+"""The one on-disk artifact format: ``.npy`` bundles behind a manifest.
 
-The :class:`~repro.data.cache.StageCache` stores array bundles as ``.npz``
-zip archives, which must be decompressed **into the heap** on every load —
-fine at the city tier, fatal at a million users where one population is
-hundreds of megabytes and every pool dispatch used to copy it again into
-shared memory.  :class:`MmapStore` is the out-of-core sibling: each bundle
-is a directory of plain ``.npy`` files plus a JSON manifest, written
-atomically and opened with ``np.load(..., mmap_mode="r")`` so loads map
-pages lazily instead of materialising bytes.  The arrays a load returns
-are byte-identical to what was stored (the ``.npy`` payload *is* the
-array's memory), read-only, and backed by the file — the OS pages them
-in on first touch and may evict them under pressure, which is what keeps
-peak RSS bounded for populations that do not fit the worker fleet's
-budget.
+Every :class:`~repro.data.cache.StageCache` artifact is a *bundle*: a
+directory holding one plain ``.npy`` file per array plus a JSON manifest
+(names, dtypes, shapes, byte sizes).  A :class:`BundleWriter` fills the
+arrays in a temporary sibling directory, writes the manifest last, and
+publishes the whole directory with one atomic rename, so a reader only
+ever sees complete bundles and "the manifest exists" means "the bundle
+is published".
 
-Memmap-backed arrays also change the worker-transport story: because the
-bytes already live in a file, :mod:`repro.parallel.shared` ships them to
-pool workers as ``MmapArrayRef`` path+offset descriptors instead of
-copying them into shared-memory segments — attach is an ``mmap`` call,
-zero bytes move.
+:func:`read_bundle` opens the arrays read-only.  Arrays of at least
+:data:`~repro.parallel.shared.SHARED_MIN_BYTES` come back as views of
+an ``np.memmap``: the ``.npy`` payload *is* the array's memory, so
+the OS pages it in on first touch and may evict it under pressure —
+which keeps peak RSS bounded for populations that do not fit the worker
+fleet's budget — and :mod:`repro.parallel.shared` ships them to pool
+workers by path+offset without copying a byte.  Smaller arrays load
+eagerly: a CPython ``mmap`` holds a duplicated file descriptor for its
+lifetime, and mapping every tiny per-row artifact would run a long sweep
+out of descriptors.
 
-Corruption discipline mirrors the ``.npz`` cache: a bundle whose manifest
-is unreadable, whose files are missing, or whose ``.npy`` payload is
-truncated is dropped and reported as a miss, so a crashed writer degrades
-to regeneration rather than a crash at read time.
+A bundle whose manifest is unreadable, whose files are missing, or whose
+``.npy`` payload is truncated or disagrees with the manifest raises from
+:func:`read_bundle`; the cache turns that into a miss and regenerates.
 """
 
 from __future__ import annotations
@@ -35,38 +33,25 @@ import shutil
 import tempfile
 from pathlib import Path
 from types import TracebackType
-from typing import Any, Dict, Mapping, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.obs.trace import enabled as _obs_enabled
-from repro.obs.trace import get_registry as _obs_registry
+from repro.parallel.shared import SHARED_MIN_BYTES
 
 __all__ = [
     "MANIFEST_NAME",
-    "MMAP_SUBDIR",
     "BundleWriter",
-    "MmapStore",
+    "is_writer_tmp",
+    "read_bundle",
     "release_pages",
 ]
 
 #: Per-bundle metadata file: array names, dtypes, shapes, byte sizes.
 MANIFEST_NAME = "manifest.json"
 
-#: Subdirectory of a stage-cache directory where bundles live.
-MMAP_SUBDIR = "mmap"
-
-
-def _record_event(event: str, nbytes: int = 0) -> None:
-    """Meter one store interaction (hit/miss/store) when obs is on."""
-    if not _obs_enabled():
-        return
-    registry = _obs_registry()
-    registry.counter(f"mmapstore.{event}").inc()
-    if event == "hits":
-        registry.counter("mmapstore.mapped_bytes").inc(nbytes)
-    elif event == "stores":
-        registry.counter("mmapstore.written_bytes").inc(nbytes)
+#: Array name -> (shape, dtype string) for a bundle about to be written.
+Specs = Mapping[str, Tuple[Tuple[int, ...], str]]
 
 
 def release_pages(*arrays: np.ndarray) -> None:
@@ -95,19 +80,31 @@ def release_pages(*arrays: np.ndarray) -> None:
             pass
 
 
-def _open_npy(path: Path, dtype: str, shape: Tuple[int, ...]) -> np.ndarray:
-    """Open one ``.npy`` payload read-only, memory-mapped when possible.
+#: Name affixes of a :class:`BundleWriter`'s temporary directory.
+_TMP_PREFIX = "."
+_TMP_SUFFIX = ".tmp"
 
-    Zero-size arrays cannot be mmapped (there are no pages to map), so
-    they load eagerly — the cost is zero bytes by construction.  A
-    header/dtype/shape mismatch with the manifest, or a file shorter
-    than the header promises, raises ``ValueError`` for the caller's
-    corruption handling.
+
+def is_writer_tmp(path: Path) -> bool:
+    """Whether ``path`` names a :class:`BundleWriter`'s temporary directory."""
+    return path.name.startswith(_TMP_PREFIX) and path.name.endswith(_TMP_SUFFIX)
+
+
+def _open_npy(path: Path, dtype: str, shape: Tuple[int, ...]) -> np.ndarray:
+    """Open one ``.npy`` payload read-only: mapped if large, loaded if small.
+
+    A mapped payload comes back as a plain ``ndarray`` view of its
+    ``np.memmap`` (the ``.base`` keeps the map alive): the ``memmap``
+    subclass runs Python code on every slice, several times the cost of
+    a plain slice in the per-user loops.  A header/dtype/shape mismatch
+    with the manifest, or a file shorter than the header promises,
+    raises ``ValueError`` for the caller's corruption handling.
     """
-    if int(np.prod(shape)) == 0:
-        arr = np.load(path)
+    nbytes = np.dtype(dtype).itemsize * int(np.prod(shape))
+    if nbytes >= SHARED_MIN_BYTES:
+        arr = np.load(path, mmap_mode="r").view(np.ndarray)
     else:
-        arr = np.load(path, mmap_mode="r")
+        arr = np.load(path)
     if arr.dtype.str != dtype or tuple(arr.shape) != tuple(shape):
         raise ValueError(
             f"{path}: payload is {arr.dtype.str}{arr.shape}, "
@@ -117,33 +114,59 @@ def _open_npy(path: Path, dtype: str, shape: Tuple[int, ...]) -> np.ndarray:
     return arr
 
 
+def read_bundle(bundle: Path) -> Tuple[Dict[str, np.ndarray], int]:
+    """The arrays of a published bundle plus their total byte count.
+
+    Raises ``OSError``/``ValueError``/``EOFError``/``KeyError``/
+    ``TypeError`` on any inconsistency (``json.JSONDecodeError`` is a
+    ``ValueError``; an empty ``.npy`` file raises ``EOFError``).
+    """
+    manifest = json.loads((bundle / MANIFEST_NAME).read_text())
+    arrays: Dict[str, np.ndarray] = {}
+    total = 0
+    for name, entry in manifest["arrays"].items():
+        arrays[name] = _open_npy(
+            bundle / f"{name}.npy",
+            str(entry["dtype"]),
+            tuple(int(d) for d in entry["shape"]),
+        )
+        total += int(entry["nbytes"])
+    return arrays, total
+
+
 class BundleWriter:
     """Preallocated writable bundle, committed atomically.
 
     ``writer.arrays[name]`` are ``w+`` memmaps created in a temporary
-    sibling directory; filling them streams straight to disk, so the
+    sibling of ``bundle``; filling them streams straight to disk, so the
     writer's heap footprint is independent of the bundle size.
-    :meth:`commit` flushes, writes the manifest, and renames the
-    directory into place — readers only ever see complete bundles.
-    Use as a context manager: an exception aborts and removes the
-    temporary directory.
+    :meth:`commit` flushes, writes the manifest, renames the directory
+    into place and reports the byte count to ``on_commit``.  Use as a
+    context manager: an exception aborts and removes the temporary
+    directory.
     """
 
     def __init__(
-        self, store: "MmapStore", key: str, specs: Mapping[str, Tuple[Tuple[int, ...], str]]
+        self,
+        bundle: Path,
+        specs: Specs,
+        on_commit: Optional[Callable[[int], None]] = None,
     ) -> None:
-        self._store = store
-        self._key = key
-        self._final = store.path_for(key)
-        store.directory.mkdir(parents=True, exist_ok=True)
+        self._final = Path(bundle)
+        self._on_commit = on_commit
+        self._final.parent.mkdir(parents=True, exist_ok=True)
         self._tmp = Path(
-            tempfile.mkdtemp(prefix=f".{key}.", suffix=".tmp", dir=str(store.directory))
+            tempfile.mkdtemp(
+                prefix=f"{_TMP_PREFIX}{self._final.name}.", suffix=_TMP_SUFFIX,
+                dir=str(self._final.parent),
+            )
         )
         self.arrays: Dict[str, np.ndarray] = {}
         self._manifest: Dict[str, Dict[str, object]] = {}
         for name, (shape, dtype) in specs.items():
             path = self._tmp / f"{name}.npy"
             if int(np.prod(shape)) == 0:
+                # Zero-size arrays cannot be mapped: there are no pages.
                 empty = np.empty(shape, dtype=np.dtype(dtype))
                 np.save(path, empty)
                 self.arrays[name] = empty
@@ -174,7 +197,7 @@ class BundleWriter:
     def commit(self) -> Path:
         """Flush every array, write the manifest, and publish the bundle."""
         total = 0
-        for name, arr in self.arrays.items():
+        for arr in self.arrays.values():
             if isinstance(arr, np.memmap):
                 arr.flush()
             total += int(arr.nbytes)
@@ -187,119 +210,23 @@ class BundleWriter:
         try:
             os.replace(self._tmp, self._final)
         except OSError:
-            # A concurrent writer published first; its bundle is
-            # byte-identical (content-addressed key), keep it.
-            shutil.rmtree(self._tmp, ignore_errors=True)
-        self._store.stores += 1
-        _record_event("stores", total)
+            if not (self._final / MANIFEST_NAME).is_file():
+                # Not a published bundle but a damaged leftover: replace it.
+                shutil.rmtree(self._final, ignore_errors=True)
+                try:
+                    os.replace(self._tmp, self._final)
+                except OSError:
+                    self.abort()
+                    raise
+            else:
+                # A concurrent writer published first; its bundle is
+                # byte-identical (content-addressed key), keep it.
+                shutil.rmtree(self._tmp, ignore_errors=True)
+        if self._on_commit is not None:
+            self._on_commit(total)
         return self._final
 
     def abort(self) -> None:
         """Discard the temporary directory without publishing."""
         self.arrays = {}
         shutil.rmtree(self._tmp, ignore_errors=True)
-
-
-class MmapStore:
-    """Content-addressed ``.npy`` bundle store with memory-mapped loads.
-
-    The API mirrors :class:`~repro.data.cache.StageCache` (``load`` /
-    ``store`` / ``clear`` / hit-miss stats) so tier builders can thread
-    either store; the difference is the return contract — ``load`` hands
-    back **read-only memmap-backed arrays** whose pages materialise on
-    first touch, not heap copies.
-    """
-
-    def __init__(self, directory: Path, *, enabled: bool = True) -> None:
-        self.directory = Path(directory)
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    @classmethod
-    def for_cache_dir(cls, cache_dir: Path, *, enabled: bool = True) -> "MmapStore":
-        """The store rooted inside a stage-cache directory (``<dir>/mmap``)."""
-        return cls(Path(cache_dir) / MMAP_SUBDIR, enabled=enabled)
-
-    def path_for(self, key: str) -> Path:
-        """The bundle directory a key addresses (may not exist)."""
-        return self.directory / key
-
-    def load(self, key: str) -> Optional[Dict[str, np.ndarray]]:
-        """The stored arrays for ``key`` as read-only memmaps, or ``None``.
-
-        Any inconsistency — unreadable manifest, missing payload file,
-        truncated or reshaped ``.npy`` — removes the bundle and reports a
-        miss, exactly like the ``.npz`` cache's corruption path.
-        """
-        if not self.enabled:
-            self.misses += 1
-            _record_event("misses")
-            return None
-        bundle = self.path_for(key)
-        manifest_path = bundle / MANIFEST_NAME
-        if not manifest_path.is_file():
-            self.misses += 1
-            _record_event("misses")
-            return None
-        try:
-            manifest = json.loads(manifest_path.read_text())
-            entries = manifest["arrays"]
-            arrays: Dict[str, np.ndarray] = {}
-            total = 0
-            for name, entry in entries.items():
-                arrays[name] = _open_npy(
-                    bundle / f"{name}.npy",
-                    str(entry["dtype"]),
-                    tuple(int(d) for d in entry["shape"]),
-                )
-                total += int(entry["nbytes"])
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError):
-            # Truncated/corrupt bundle: drop it and let the caller
-            # regenerate, same contract as a corrupt .npz artifact.
-            shutil.rmtree(bundle, ignore_errors=True)
-            self.misses += 1
-            _record_event("misses")
-            return None
-        self.hits += 1
-        _record_event("hits", total)
-        return arrays
-
-    def store(self, key: str, arrays: Mapping[str, np.ndarray]) -> Optional[Path]:
-        """Persist a bundle atomically; returns its path (None if disabled)."""
-        if not self.enabled:
-            return None
-        specs = {
-            name: (tuple(arr.shape), arr.dtype.str) for name, arr in arrays.items()
-        }
-        with BundleWriter(self, key, specs) as writer:
-            for name, arr in arrays.items():
-                if writer.arrays[name].size:
-                    writer.arrays[name][...] = arr
-        return self.path_for(key)
-
-    def writer(
-        self, key: str, specs: Mapping[str, Tuple[Tuple[int, ...], str]]
-    ) -> BundleWriter:
-        """A streaming :class:`BundleWriter` for ``key`` (shapes known upfront)."""
-        return BundleWriter(self, key, specs)
-
-    def clear(self) -> int:
-        """Remove every bundle in the store; returns the count removed."""
-        removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for bundle in sorted(self.directory.iterdir()):
-            if bundle.is_dir():
-                shutil.rmtree(bundle, ignore_errors=True)
-                removed += 1
-        return removed
-
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss/store counters for reports and tests."""
-        return {"hits": self.hits, "misses": self.misses, "stores": self.stores}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "enabled" if self.enabled else "disabled"
-        return f"MmapStore({self.directory}, {state}, {self.stats()})"

@@ -1,15 +1,15 @@
 """One frozen config for the data-plane knobs every driver re-plumbs.
 
-``--workers``, ``--cache``, ``--tier``, ``--mmap``, and ``--no-shm``
+``--workers``, ``--cache``, ``--tier``, ``--mmap`` and ``--cache-dir``
 used to be declared, validated, and threaded separately by the
 experiment runner, the bench harness, and the top-level CLI — same
 semantics, four spellings.  :class:`DataPlaneConfig` is the one place
 those knobs live: :func:`add_data_plane_arguments` declares the flags on
 any parser, :meth:`DataPlaneConfig.from_args` builds the validated
-config from the parsed namespace, and the config knows how to
-materialise its side effects (:meth:`stage_cache`, :meth:`apply`).  A
-new subcommand — ``repro fleet`` was the first — inherits the whole
-data plane by calling two functions.
+config from the parsed namespace, and :meth:`DataPlaneConfig.stage_cache`
+materialises the cache it asks for.  The config has no process-global
+side effects, so drivers hand the object itself to each other.  A new
+subcommand inherits the whole data plane by calling two functions.
 """
 
 from __future__ import annotations
@@ -67,12 +67,6 @@ def add_data_plane_arguments(
         "to workers by path+offset); needs --tier and --cache",
     )
     parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="ship worker payloads by pickle instead of shared memory "
-        "(results are identical; debugging aid)",
-    )
-    parser.add_argument(
         "--cache-dir",
         type=Path,
         default=None,
@@ -94,7 +88,6 @@ class DataPlaneConfig:
     cache: bool = False
     tier: Optional[str] = None
     mmap: bool = False
-    shm: bool = True
     cache_dir: Optional[Path] = None
 
     def __post_init__(self) -> None:
@@ -127,7 +120,6 @@ class DataPlaneConfig:
             cache=bool(getattr(args, "cache", False)),
             tier=getattr(args, "tier", None),
             mmap=bool(getattr(args, "mmap", False)),
-            shm=not getattr(args, "no_shm", False),
             cache_dir=getattr(args, "cache_dir", None),
         )
 
@@ -136,9 +128,3 @@ class DataPlaneConfig:
         if not self.cache:
             return None
         return StageCache(self.cache_dir) if self.cache_dir else StageCache()
-
-    def apply(self) -> None:
-        """Apply process-global effects (the shm transport toggle)."""
-        from repro.parallel import set_shared_memory_enabled
-
-        set_shared_memory_enabled(self.shm)

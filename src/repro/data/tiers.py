@@ -19,11 +19,10 @@ Two serving paths share the shard discipline:
 
 * the default in-memory path concatenates shard arrays on the heap —
   right up to metro-100k;
-* ``tier_columns(..., mmap=True)`` builds the tier **out of core**: shard
-  bundles land in the :class:`~repro.data.mmapstore.MmapStore` as ``.npy``
-  files, generation proceeds in bounded waves so only a few shards are
-  ever resident, the combined columns are streamed shard-by-shard into
-  one preallocated bundle, and the returned
+* ``tier_columns(..., mmap=True)`` builds the tier **out of core**:
+  generation proceeds in bounded waves so only a few shards are ever
+  resident, the combined columns are streamed shard-by-shard into one
+  preallocated cache bundle, and the returned
   :class:`~repro.data.columns.PopulationColumns` wraps read-only
   ``np.memmap`` views.  Values are bit-identical either way — only the
   residency story differs — which is what lets the candidate digests pin
@@ -40,7 +39,7 @@ import numpy as np
 
 from repro.data.cache import StageCache, stage_key
 from repro.data.columns import PopulationColumns
-from repro.data.mmapstore import MmapStore, release_pages
+from repro.data.mmapstore import release_pages
 from repro.datagen.population import PopulationConfig, iter_population_spawned
 
 __all__ = [
@@ -180,8 +179,8 @@ def _tier_columns_mmap(
 
     The combined bundle is content-addressed under the ``tier-columns``
     stage; a hit reopens it with zero generation work and near-zero heap.
-    On a miss, shard bundles are ensured first — reusing ``.npz`` shards
-    a previous in-memory run cached, generating the rest in waves of
+    On a miss, shard bundles are ensured first — reusing shards a
+    previous in-memory run cached, generating the rest in waves of
     :data:`MMAP_WAVE_SHARDS` so heap residency is bounded by the wave,
     not the tier — then streamed into one preallocated bundle with
     offsets rebased shard by shard.  Page-release advice after each shard
@@ -189,23 +188,16 @@ def _tier_columns_mmap(
     """
     from repro.parallel.pool import parallel_map
 
-    store = MmapStore.for_cache_dir(cache.directory)
     key = _combined_key(config)
-    combined = store.load(key)
+    combined = cache.load(key)
     if combined is not None:
         return PopulationColumns.from_arrays(combined)
 
     ranges = _shard_ranges(config.n_users)
     keys = [_shard_key(config, start, stop) for start, stop in ranges]
     shard_arrays: List[Optional[Dict[str, np.ndarray]]] = [
-        store.load(k) for k in keys
+        cache.load(k) for k in keys
     ]
-    for i, existing in enumerate(shard_arrays):
-        if existing is None:
-            npz = cache.load(keys[i])
-            if npz is not None:
-                store.store(keys[i], npz)
-                shard_arrays[i] = store.load(keys[i])
 
     missing = [i for i, a in enumerate(shard_arrays) if a is None]
     for wave_start in range(0, len(missing), MMAP_WAVE_SHARDS):
@@ -218,11 +210,10 @@ def _tier_columns_mmap(
             payload={"config": config},
         )
         for i, arrays in zip(wave, generated):
-            # Same trust boundary as the .npz shard store below; the
-            # bundle lives beside it under <cache>/mmap/.
+            # Same trust boundary as the in-memory path's shard store.
             # reprolint: disable=PRIV003
-            store.store(keys[i], arrays)
-            shard_arrays[i] = store.load(keys[i])
+            cache.store(keys[i], arrays)
+            shard_arrays[i] = cache.load(keys[i])
 
     shards = [a for a in shard_arrays if a is not None]
     n_checkins = sum(int(a["xs"].shape[0]) for a in shards)
@@ -237,7 +228,7 @@ def _tier_columns_mmap(
         "top_ys": ((n_tops,), "<f8"),
         "top_offsets": ((n_rows,), "<i8"),
     }
-    with store.writer(key, specs) as writer:
+    with cache.writer(key, specs) as writer:
         out = writer.arrays
         out["offsets"][0] = 0
         out["top_offsets"][0] = 0
@@ -265,10 +256,10 @@ def _tier_columns_mmap(
                         arr.flush()
                 release_pages(*out.values())
 
-    combined = store.load(key)
+    combined = cache.load(key)
     if combined is None:
         raise RuntimeError(
-            f"mmap tier bundle vanished immediately after build: {store.path_for(key)}"
+            f"mmap tier bundle vanished immediately after build: {cache.path_for(key)}"
         )
     return PopulationColumns.from_arrays(combined)
 
@@ -286,11 +277,10 @@ def tier_columns(
     stored, then everything concatenates in user order.  The result is
     bit-identical regardless of cache state or worker count.
 
-    With ``mmap=True`` the tier is served out of core from the
-    :class:`~repro.data.mmapstore.MmapStore` beside the cache: the
-    returned columns wrap read-only memmaps and downstream fan-out ships
-    them by path+offset instead of copying.  Values are bit-identical to
-    the heap path.  An mmap request without a disk-backed cache has
+    With ``mmap=True`` the tier is served out of core from one combined
+    cache bundle: the returned columns wrap read-only memmaps and
+    downstream fan-out ships them by path+offset instead of copying.
+    Values are bit-identical to the heap path.  An mmap request without a disk-backed cache has
     nowhere to put the bundle and falls back to the heap path.
     """
     from repro.parallel.pool import parallel_map
@@ -305,7 +295,12 @@ def tier_columns(
         if cache is not None:
             arrays = cache.load(_shard_key(config, start, stop))
             if arrays is not None:
-                shards[i] = PopulationColumns.from_arrays(arrays)
+                # Copy off the maps now: the result is concatenated on the
+                # heap anyway, and a metro-1M tier has 400 shards whose
+                # live maps would each hold a file descriptor.
+                shards[i] = PopulationColumns.from_arrays(
+                    {name: np.array(arr) for name, arr in arrays.items()}
+                )
                 continue
         missing.append((i, (start, stop)))
 

@@ -14,9 +14,9 @@ Three jobs, all reachable through ``repro bench``:
   witness; cold/warm digests must agree) and ``--trace`` (attach
   per-span timing summaries from ``repro.obs``); the bench id grows
   matching suffixes, e.g. ``BENCH_table2_city_kernel_cache_cold.json``.
-* ``repro bench shm`` — measure the shared-memory fan-out transport:
-  ship the same large payload to a process pool with shared memory on
-  and off and archive bytes-over-pickle vs bytes-over-shm.
+* ``repro bench shm`` — measure the worker payload transport: ship one
+  large heap array to a process pool and archive the bytes copied into
+  shared memory, the bytes pickled, and the wall clock.
 * ``repro bench --compare OLD.json NEW.json`` — regression gate: exits
   non-zero when NEW's wall clock (overall or any shared stage) regresses
   more than ``--threshold`` (default 10 %) over OLD.
@@ -49,11 +49,7 @@ from repro.experiments.config import FULL, MEDIUM, SMALL, ExperimentScale
 from repro.experiments.tables import ExperimentReport
 from repro.obs import trace as _trace
 from repro.obs.rss import peak_rss_bytes
-from repro.parallel import (
-    parallel_map_with_stats,
-    set_shared_memory_enabled,
-    shared_memory_enabled,
-)
+from repro.parallel import export_payload, parallel_map_with_stats
 
 __all__ = [
     "main",
@@ -284,58 +280,41 @@ def run_shm_bench(
     workers: int = 2,
     results_dir: Optional[Path] = None,
 ) -> dict:
-    """Compare shipping one large read-only array via shm vs pickle.
+    """Ship one large heap array to a process pool and meter the transport.
 
-    The payload is deterministic (an ``arange`` grid), so both transports
-    must return identical results; the archived metrics are the bytes
-    that crossed each transport and the wall clock of each fan-out.
+    The payload is deterministic (an ``arange`` grid), so the pooled
+    results must equal the serial ones; the archived metrics are the
+    bytes copied into shared memory (one copy, whatever the worker
+    count), the bytes pickled into the pool initializer, and the
+    fan-out's wall clock.
     """
     coords = np.arange(n_points * 2, dtype=np.float64).reshape(n_points, 2)
     payload = {"coords": coords}
-    was_enabled = shared_memory_enabled()
-    try:
-        set_shared_memory_enabled(True)
-        start = time.perf_counter()
-        shm_results, shm_stats = parallel_map_with_stats(
-            _shm_probe_chunk, range(n_tasks), workers=workers, seed=0, payload=payload
-        )
-        shm_seconds = time.perf_counter() - start
-
-        set_shared_memory_enabled(False)
-        start = time.perf_counter()
-        pickle_results, pickle_stats = parallel_map_with_stats(
-            _shm_probe_chunk, range(n_tasks), workers=workers, seed=0, payload=payload
-        )
-        pickle_seconds = time.perf_counter() - start
-    finally:
-        set_shared_memory_enabled(was_enabled)
-
-    if shm_results != pickle_results:
-        raise RuntimeError(
-            "shared-memory fan-out returned different results than pickling"
-        )
+    serial = parallel_map_with_stats(
+        _shm_probe_chunk, range(n_tasks), workers=1, seed=0, payload=payload
+    )[0]
+    start = time.perf_counter()
+    pooled, stats = parallel_map_with_stats(
+        _shm_probe_chunk, range(n_tasks), workers=workers, seed=0, payload=payload
+    )
+    wall_seconds = time.perf_counter() - start
+    if pooled != serial:
+        raise RuntimeError("pooled fan-out returned different results than serial")
     result = {
         "experiment_id": "shm_fanout",
-        "title": "worker payload transport: shared memory vs pickle",
+        "title": "worker payload transport: heap array shipped by path+offset",
         "workers": workers,
         "n_points": n_points,
         "payload_nbytes": int(coords.nbytes),
-        "shm": {
-            "wall_seconds": shm_seconds,
-            "shared_arrays": shm_stats.shared_arrays,
-            "shared_bytes": shm_stats.shared_bytes,
-            "pickled_payload_bytes": _exported_pickle_bytes(payload),
-        },
-        "pickle": {
-            "wall_seconds": pickle_seconds,
-            "shared_arrays": pickle_stats.shared_arrays,
-            "shared_bytes": pickle_stats.shared_bytes,
-            "pickled_payload_bytes": len(pickle.dumps(payload)),
-        },
+        "pool_used": stats.pool_used,
+        "wall_seconds": wall_seconds,
+        "shared_arrays": stats.shared_arrays,
+        "shared_bytes": stats.shared_bytes,
+        "pickled_payload_bytes": _exported_pickle_bytes(payload),
         "notes": [
-            "identical results on both transports (asserted)",
-            "shm ships array bodies out-of-band: workers attach by name "
-            "instead of deserialising a copy each",
+            "identical results to the serial path (asserted)",
+            "the heap array is copied once into a shared-memory segment; "
+            "workers map its tmpfs path instead of unpickling a copy each",
         ],
     }
     if results_dir is not None:
@@ -344,9 +323,7 @@ def run_shm_bench(
 
 
 def _exported_pickle_bytes(payload: dict) -> int:
-    """Bytes the pool pickles once the large arrays ride out-of-band."""
-    from repro.parallel import export_payload
-
+    """Bytes the pool pickles once the large arrays ship as refs."""
     exported, lease = export_payload(payload)
     try:
         return len(pickle.dumps(exported))
@@ -463,7 +440,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro bench`` / ``python -m repro.experiments.bench``."""
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="cache/shared-memory benchmarks and the regression gate",
+        description="cache/transport benchmarks and the regression gate",
     )
     parser.add_argument(
         "target",
@@ -525,20 +502,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(exc))
     if not plane.cache:
         parser.error("benches measure the stage cache; --no-cache is meaningless")
-    plane.apply()
 
     if args.target == "shm":
         result = run_shm_bench(
             workers=max(plane.workers or 1, 2), results_dir=args.results_dir
         )
-        shm, pkl = result["shm"], result["pickle"]
         print(
-            f"shm fan-out: {shm['shared_bytes']} bytes shared, "
-            f"{shm['pickled_payload_bytes']} pickled, {shm['wall_seconds']:.3f}s"
-        )
-        print(
-            f"pickle fan-out: {pkl['pickled_payload_bytes']} bytes pickled, "
-            f"{pkl['wall_seconds']:.3f}s"
+            f"shm fan-out: {result['shared_bytes']} bytes shared, "
+            f"{result['pickled_payload_bytes']} pickled, "
+            f"{result['wall_seconds']:.3f}s"
         )
         return 0
 

@@ -12,8 +12,11 @@ the process pool for the parallelizable experiments (default: all
 cores); any worker count produces bit-identical report rows at the
 same seed.  ``--cache`` reuses content-addressed stage artifacts under
 ``benchmarks/results/cache/`` (also bit-identical — a hit returns the
-exact arrays a recompute would); ``--no-shm`` turns off the
-shared-memory payload transport and ships worker payloads by pickle.
+exact arrays a recompute would).
+
+:func:`main` only parses arguments; :func:`run_experiments` validates
+the request and runs it, and ``repro experiments`` calls it directly
+with its own parsed :class:`~repro.data.plane.DataPlaneConfig`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,15 @@ from repro.experiments import (
 from repro.experiments.config import FULL, MEDIUM, SMALL, ExperimentScale
 from repro.experiments.tables import ExperimentReport
 
-__all__ = ["main", "EXPERIMENTS", "WORKER_AWARE", "CACHE_AWARE", "TIER_AWARE"]
+__all__ = [
+    "main",
+    "run_experiments",
+    "RequestError",
+    "EXPERIMENTS",
+    "WORKER_AWARE",
+    "CACHE_AWARE",
+    "TIER_AWARE",
+]
 
 SCALES: Dict[str, ExperimentScale] = {s.name: s for s in (SMALL, MEDIUM, FULL)}
 
@@ -76,8 +87,12 @@ CACHE_AWARE = frozenset({"fig6", "fig7", "fig9", "table2", "table3"})
 TIER_AWARE = frozenset({"fig6", "table2"})
 
 
+class RequestError(ValueError):
+    """An experiment request that names nothing runnable."""
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run the requested experiments and print their reports."""
+    """Parse the command line, then :func:`run_experiments`."""
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner",
         description="Regenerate the paper's tables and figures.",
@@ -114,34 +129,62 @@ def main(argv: Optional[List[str]] = None) -> int:
         "inspect with 'repro obs PATH'",
     )
     args = parser.parse_args(argv)
-
     try:
         plane = DataPlaneConfig.from_args(args)
     except ValueError as exc:
         parser.error(str(exc))
-    requested = (
-        list(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    )
-    unknown = [e for e in requested if e not in EXPERIMENTS]
+    try:
+        return run_experiments(
+            args.experiments, args.scale, plane,
+            seed=args.seed, trace=args.trace, charts=args.charts,
+        )
+    except RequestError as exc:
+        parser.error(str(exc))
+
+
+def _validate(requested: List[str], plane: DataPlaneConfig) -> List[str]:
+    """Expand ``all`` and reject unknown ids or a misapplied ``--tier``."""
+    ids = list(EXPERIMENTS) if "all" in requested else list(requested)
+    unknown = [e for e in ids if e not in EXPERIMENTS]
     if unknown:
-        parser.error(f"unknown experiment(s): {', '.join(unknown)}")
+        raise RequestError(f"unknown experiment(s): {', '.join(unknown)}")
     if plane.tier is not None:
-        not_tiered = [e for e in requested if e not in TIER_AWARE]
+        not_tiered = [e for e in ids if e not in TIER_AWARE]
         if not_tiered:
-            parser.error(
+            raise RequestError(
                 f"--tier only applies to {', '.join(sorted(TIER_AWARE))}; "
                 f"got: {', '.join(not_tiered)}"
             )
+    return ids
 
-    plane.apply()
+
+def run_experiments(
+    requested: List[str],
+    scale: str,
+    plane: DataPlaneConfig,
+    seed: Optional[int] = None,
+    trace: Optional[str] = None,
+    charts: bool = False,
+) -> int:
+    """Run the requested experiments and print their reports.
+
+    ``requested`` holds experiment ids or ``all``; ``scale`` names a
+    preset in :data:`SCALES`, whose root seed ``seed`` overrides.
+    Raises :class:`RequestError` for an unknown id or scale, or a
+    ``--tier`` given to an experiment that has no tiers — before any
+    experiment runs.
+    """
+    ids = _validate(requested, plane)
+    if scale not in SCALES:
+        raise RequestError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
+    preset = SCALES[scale]
+    if seed is not None:
+        preset = dataclasses.replace(preset, seed=seed)
     cache = plane.stage_cache()
-    scale = SCALES[args.scale]
-    if args.seed is not None:
-        scale = dataclasses.replace(scale, seed=args.seed)
-    if args.trace is not None:
-        obs.enable(args.trace)
+    if trace is not None:
+        obs.enable(trace)
     try:
-        for exp_id in requested:
+        for exp_id in ids:
             kwargs: Dict[str, object] = {}
             if exp_id in WORKER_AWARE:
                 kwargs["workers"] = plane.workers
@@ -150,17 +193,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             if exp_id in TIER_AWARE and plane.tier is not None:
                 kwargs["tier"] = plane.tier
                 kwargs["mmap"] = plane.mmap
-            with obs.span("experiment", id=exp_id, scale=scale.name):
-                report = EXPERIMENTS[exp_id](scale, **kwargs)
+            with obs.span("experiment", id=exp_id, scale=preset.name):
+                report = EXPERIMENTS[exp_id](preset, **kwargs)
             print(report.render())
-            if args.charts:
+            if charts:
                 chart = _chart_for(exp_id, report)
                 if chart:
                     print()
                     print(chart)
             print()
     finally:
-        if args.trace is not None:
+        if trace is not None:
             obs.shutdown()
     return 0
 

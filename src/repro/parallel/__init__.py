@@ -3,7 +3,7 @@
 ``parallel_map`` fans independent work units out over a process pool with
 chunk-order ``SeedSequence.spawn`` RNG derivation, so the same seed gives
 bit-identical results for any worker count.  Large read-only payload
-arrays travel zero-copy via ``multiprocessing.shared_memory`` (see
+arrays travel as path+offset refs that workers map (see
 :mod:`repro.parallel.shared`).  See :mod:`repro.parallel.pool`.
 """
 
@@ -14,13 +14,10 @@ from repro.parallel.pool import (
     parallel_map,
     parallel_map_with_stats,
     resolve_workers,
-    set_shared_memory_enabled,
-    shared_memory_enabled,
 )
 from repro.parallel.shared import (
     SHARED_MIN_BYTES,
     MmapArrayRef,
-    SharedArrayRef,
     ShmLease,
     export_payload,
     import_payload,
@@ -34,11 +31,8 @@ __all__ = [
     "resolve_workers",
     "chunk_bounds",
     "DEFAULT_TARGET_CHUNKS",
-    "set_shared_memory_enabled",
-    "shared_memory_enabled",
     "SHARED_MIN_BYTES",
     "MmapArrayRef",
-    "SharedArrayRef",
     "ShmLease",
     "export_payload",
     "import_payload",

@@ -20,11 +20,10 @@ parallel runs of the paper's figures reproducible and testable.
 Heavy shared inputs (a user population, a trace pool) should go through
 ``payload=``: the payload is shipped to each worker **once** via the pool
 initializer instead of being re-pickled into every chunk task.  Large
-read-only arrays inside the payload additionally travel zero-copy through
-``multiprocessing.shared_memory`` (see :mod:`repro.parallel.shared`) —
-workers attach the parent's segments by name instead of receiving pickled
-copies.  Disable per call with ``use_shared_memory=False`` or process-wide
-with :func:`set_shared_memory_enabled`.
+read-only arrays inside the payload travel as path+offset refs (see
+:mod:`repro.parallel.shared`): workers map the parent's file-backed
+columns, or a one-time shared-memory copy of its heap arrays, instead of
+receiving pickled copies.
 
 When ``workers <= 1``, the pool cannot be created (sandboxes without
 fork/semaphores), or there is only one chunk, the same chunk schedule
@@ -33,6 +32,7 @@ runs serially in-process — same chunks, same seeds, same results.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import time
@@ -51,7 +51,6 @@ from repro.obs.rss import record_peak_rss as _record_peak_rss
 from repro.obs.trace import enabled as _obs_enabled
 from repro.obs.trace import get_registry as _obs_registry
 from repro.parallel.shared import (
-    SHARED_MIN_BYTES,
     count_payload_arrays,
     export_payload,
     import_payload,
@@ -63,8 +62,6 @@ __all__ = [
     "ParallelStats",
     "resolve_workers",
     "chunk_bounds",
-    "set_shared_memory_enabled",
-    "shared_memory_enabled",
 ]
 
 #: Default number of chunks to aim for.  Fixed (rather than derived from
@@ -75,19 +72,12 @@ DEFAULT_TARGET_CHUNKS = 32
 #: Payload slot filled in each worker process by the pool initializer.
 _WORKER_PAYLOAD: Any = None
 
-#: Process-wide shared-memory toggle (``--no-shm`` flips it off).
-_SHM_ENABLED: bool = True
-
-
-def set_shared_memory_enabled(enabled: bool) -> None:
-    """Process-wide default for shipping payload arrays via shared memory."""
-    global _SHM_ENABLED
-    _SHM_ENABLED = enabled
-
-
-def shared_memory_enabled() -> bool:
-    """The current process-wide shared-memory default."""
-    return _SHM_ENABLED
+#: glibc ``mallopt`` parameters and the values pool workers pin them to:
+#: glibc's own 64-bit ceiling for the mmap threshold, and twice that for
+#: the trim threshold (the ratio its dynamic rule keeps).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_WORKER_MMAP_THRESHOLD = 32 << 20
 
 
 @dataclass
@@ -153,14 +143,38 @@ def chunk_bounds(n_items: int, chunk_size: Optional[int]) -> List[Tuple[int, int
     return [(s, min(s + chunk_size, n_items)) for s in range(0, n_items, chunk_size)]
 
 
-def _init_worker(payload: Any) -> None:
-    """Pool initializer: stash the shared payload once per worker.
+def _keep_temporaries_on_heap() -> None:
+    """Serve large chunk temporaries from the heap, not from fresh maps.
 
-    ``import_payload`` resolves any shared-memory refs the parent's export
-    produced into attached array views; payloads without refs pass through
-    unchanged.
+    glibc gives every allocation above its mmap threshold its own
+    mapping, unmapped on free, so each of its pages faults in zero-filled
+    on first touch.  The threshold starts at 128 KiB and rises only after
+    the process frees a larger mapped block.  Kernel chunks allocate and
+    free such temporaries every chunk, so a worker forked from a parent
+    that never freed a large block (one that maps its columns from cache
+    bundles) faulted in every page of every temporary: six times the
+    page faults of a worker forked from a parent that had, and about
+    10 % slower per chunk.  Pinning the threshold makes that independent
+    of what the parent happened to allocate.  A no-op where the C library
+    has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # pragma: no cover - not glibc
+        return
+    mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _WORKER_MMAP_THRESHOLD)
+
+
+def _init_worker(payload: Any) -> None:
+    """Pool initializer: tune the allocator and stash the shared payload.
+
+    ``import_payload`` maps every path+offset ref the parent's export
+    produced into a read-only array view; payloads without refs pass
+    through unchanged.
     """
     global _WORKER_PAYLOAD
+    _keep_temporaries_on_heap()
     _WORKER_PAYLOAD = import_payload(payload)
 
 
@@ -216,8 +230,6 @@ def parallel_map_with_stats(
     seed: Optional[int] = None,
     chunk_size: Optional[int] = None,
     payload: Any = None,
-    use_shared_memory: Optional[bool] = None,
-    shm_min_bytes: int = SHARED_MIN_BYTES,
 ) -> Tuple[List[Any], ParallelStats]:
     """:func:`parallel_map` plus the per-chunk :class:`ParallelStats`.
 
@@ -233,13 +245,8 @@ def parallel_map_with_stats(
         chunk_size: items per chunk; default targets
             :data:`DEFAULT_TARGET_CHUNKS` chunks independent of ``workers``.
         payload: heavy shared state delivered to workers once via the pool
-            initializer rather than per chunk.
-        use_shared_memory: ship large payload arrays via shared-memory
-            segments instead of pickling them into each worker; ``None``
-            follows the process-wide default (on).  Workers see read-only
-            views with the same values either way.
-        shm_min_bytes: per-array size threshold below which arrays stay on
-            the pickle path.
+            initializer rather than per chunk; its large arrays arrive as
+            read-only maps (same values as the serial path).
     """
     items = list(items)
     workers = resolve_workers(workers)
@@ -254,14 +261,13 @@ def parallel_map_with_stats(
     else:
         seqs = list(np.random.SeedSequence(seed).spawn(len(chunks)))
     with_payload = payload is not None
-    use_shm = _SHM_ENABLED if use_shared_memory is None else use_shared_memory
 
     collect_obs = _obs_enabled()
     observations: List[Optional[ChunkObservations]] = [None] * len(chunks)
     with Stopwatch() as sw:
         results = _execute(
             fn, chunks, seqs, workers, with_payload, payload, stats,
-            use_shm, shm_min_bytes, collect_obs, observations,
+            collect_obs, observations,
         )
     stats.total_seconds = sw.elapsed
 
@@ -294,8 +300,6 @@ def parallel_map(
     seed: Optional[int] = None,
     chunk_size: Optional[int] = None,
     payload: Any = None,
-    use_shared_memory: Optional[bool] = None,
-    shm_min_bytes: int = SHARED_MIN_BYTES,
 ) -> List[Any]:
     """Map ``fn`` over ``items`` in deterministic chunks, possibly in parallel.
 
@@ -309,8 +313,6 @@ def parallel_map(
         seed=seed,
         chunk_size=chunk_size,
         payload=payload,
-        use_shared_memory=use_shared_memory,
-        shm_min_bytes=shm_min_bytes,
     )
     return results
 
@@ -323,8 +325,6 @@ def _execute(
     with_payload: bool,
     payload: Any,
     stats: ParallelStats,
-    use_shm: bool,
-    shm_min_bytes: int,
     collect_obs: bool,
     observations: List[Optional[ChunkObservations]],
 ) -> List[List[Any]]:
@@ -333,7 +333,7 @@ def _execute(
         try:
             return _execute_pool(
                 fn, chunks, seqs, workers, with_payload, payload, stats,
-                use_shm, shm_min_bytes, collect_obs, observations,
+                collect_obs, observations,
             )
         except (
             OSError,
@@ -343,8 +343,8 @@ def _execute(
             BrokenProcessPool,
         ):
             # No fork/semaphores in this environment, or a worker died in
-            # its initializer (e.g. an exported mmap ref whose backing
-            # file vanished before attach): degrade gracefully — the
+            # its initializer (e.g. an exported ref whose backing file or
+            # segment vanished before attach): degrade gracefully — the
             # serial path below reuses the original, un-exported payload.
             stats.shared_arrays = 0
             stats.shared_bytes = 0
@@ -386,51 +386,41 @@ def _execute_pool(
     with_payload: bool,
     payload: Any,
     stats: ParallelStats,
-    use_shm: bool,
-    shm_min_bytes: int,
     collect_obs: bool,
     observations: List[Optional[ChunkObservations]],
 ) -> List[List[Any]]:
     max_workers = min(workers, len(chunks))
     lease = None
-    payload_arrays, payload_bytes = (
-        count_payload_arrays(payload) if with_payload and _obs_enabled() else (0, 0)
-    )
-    if with_payload and use_shm:
-        # Large payload arrays move into shared segments; only the tiny
-        # ref tree is pickled into the pool initializer.  File-backed
-        # arrays skip even that: they export as path+offset refs.
-        payload, lease = export_payload(payload, shm_min_bytes)
+    if with_payload:
+        payload_arrays, payload_bytes = count_payload_arrays(payload)
+        # Large payload arrays export as path+offset refs (heap arrays
+        # after one copy into a shared segment); only the tiny ref tree
+        # is pickled into the pool initializer.
+        payload, lease = export_payload(payload)
         stats.shared_arrays = lease.n_segments
         stats.shared_bytes = lease.total_bytes
         stats.mmap_arrays = lease.mmap_arrays
         stats.mmap_bytes = lease.mmap_bytes
-    if with_payload and _obs_enabled():
-        # Transport accounting: shared segments hold ONE copy no matter
-        # the worker count, mmap refs hold ZERO copies (the file is the
-        # copy); whatever stayed on the pickle path is copied into every
-        # worker.
-        shm_arrays = lease.n_segments if lease is not None else 0
-        shm_bytes = lease.total_bytes if lease is not None else 0
-        mmap_arrays = lease.mmap_arrays if lease is not None else 0
-        mmap_bytes = lease.mmap_bytes if lease is not None else 0
-        registry = _obs_registry()
-        registry.counter("parallel.transport.shm_arrays").inc(shm_arrays)
-        registry.counter("parallel.transport.shm_bytes").inc(shm_bytes)
-        registry.counter("parallel.transport.mmap_arrays").inc(mmap_arrays)
-        registry.counter("parallel.transport.mmap_bytes").inc(mmap_bytes)
-        registry.counter("parallel.transport.pickle_arrays").inc(
-            (payload_arrays - shm_arrays - mmap_arrays) * max_workers
-        )
-        registry.counter("parallel.transport.pickle_bytes").inc(
-            (payload_bytes - shm_bytes - mmap_bytes) * max_workers
-        )
-    initializer = _init_worker if with_payload else None
-    initargs = (payload,) if with_payload else ()
+        if _obs_enabled():
+            # Transport accounting: shared segments hold ONE copy no
+            # matter the worker count, file-backed refs hold ZERO copies
+            # (the file is the copy); whatever stayed on the pickle path
+            # is copied into every worker.
+            registry = _obs_registry()
+            registry.counter("parallel.transport.shm_arrays").inc(stats.shared_arrays)
+            registry.counter("parallel.transport.shm_bytes").inc(stats.shared_bytes)
+            registry.counter("parallel.transport.mmap_arrays").inc(stats.mmap_arrays)
+            registry.counter("parallel.transport.mmap_bytes").inc(stats.mmap_bytes)
+            registry.counter("parallel.transport.pickle_arrays").inc(
+                (payload_arrays - stats.shared_arrays - stats.mmap_arrays) * max_workers
+            )
+            registry.counter("parallel.transport.pickle_bytes").inc(
+                (payload_bytes - stats.shared_bytes - stats.mmap_bytes) * max_workers
+            )
     ordered: List[Optional[List[Any]]] = [None] * len(chunks)
     try:
         with ProcessPoolExecutor(
-            max_workers=max_workers, initializer=initializer, initargs=initargs
+            max_workers=max_workers, initializer=_init_worker, initargs=(payload,)
         ) as pool:
             futures = [
                 # Chunk tasks carry payload=None: workers read the

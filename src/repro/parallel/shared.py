@@ -1,33 +1,37 @@
-"""Zero-copy shared-memory transport for ``parallel_map`` payloads.
+"""The one worker payload transport: large arrays ship as path+offset refs.
 
 Shipping a population to pool workers through pickling copies every array
-once per worker (and once more into each worker's heap).  This module
-instead places large read-only arrays in ``multiprocessing.shared_memory``
-segments and ships only tiny :class:`SharedArrayRef` descriptors; workers
-attach by name and map the same physical pages.
-
+once per worker (and once more into each worker's heap).  Instead,
 ``export_payload`` walks an arbitrary payload tree (arrays, dicts, lists,
-tuples, dataclasses) and swaps every array of at least ``min_bytes`` for a
-ref, returning the rewritten tree plus a :class:`ShmLease` the parent
-releases (close + unlink) once the pool is done.  ``import_payload``
-reverses the walk inside the worker, attaching each segment once and
-returning read-only array views into it.  Small payloads pass through
-untouched, and any OS-level shared-memory failure falls back to plain
-pickling, so callers never need a second code path.
+tuples, dataclasses) and swaps every array of at least
+:data:`SHARED_MIN_BYTES` for a :class:`MmapArrayRef` — a file path, a
+byte offset, a shape and a dtype.  ``import_payload`` reverses the walk
+inside the worker with one ``np.memmap`` call per ref, so every worker
+maps the same physical pages read-only.
 
-Arrays that are already **file-backed** — ``np.memmap`` instances or
-views whose base chain bottoms out in one, e.g. columns served from
-:mod:`repro.data.mmapstore` — skip shared memory entirely: the bytes
-already live in a file, so the export emits a :class:`MmapArrayRef`
-(path + byte offset + shape) and the worker re-maps the same file
-read-only.  Nothing is copied anywhere, the parent holds no lease for
-them, and a vanished file degrades to the serial fallback exactly like a
-failed segment create.
+Where the bytes come from decides what the export costs:
+
+* arrays that are already **file-backed** — ``np.memmap`` instances or
+  views whose base chain bottoms out in one, e.g. columns loaded from a
+  :class:`~repro.data.cache.StageCache` bundle — ship as they are:
+  nothing is copied, and the parent owns nothing;
+* **heap** arrays are copied once into a ``multiprocessing.shared_memory``
+  segment and described by the segment's tmpfs path (``/dev/shm/<name>``
+  on Linux).  The returned :class:`ShmLease` owns the segments; the
+  parent releases it (close + unlink) once the pool is done, and the
+  resource tracker unlinks them should the parent die first.
+
+Small arrays pass through untouched and ride the pickle.  Where segments
+have no file path, export raises ``OSError`` internally and the original
+payload comes back with an empty lease — the caller pickles it whole.  A
+ref whose file vanished before a worker attached makes the pool's
+initializer fail, and ``parallel_map`` degrades to its serial path.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Tuple
@@ -36,8 +40,8 @@ import numpy as np
 
 __all__ = [
     "SHARED_MIN_BYTES",
+    "SHM_DIR",
     "MmapArrayRef",
-    "SharedArrayRef",
     "ShmLease",
     "count_payload_arrays",
     "export_payload",
@@ -46,27 +50,22 @@ __all__ = [
 ]
 
 #: Arrays below this size ride the normal pickle path: a 256 KiB copy per
-#: worker costs less than a segment create + attach round trip.
+#: worker costs less than a segment create + map round trip.  Cache
+#: bundles use the same line to decide which arrays load as maps.
 SHARED_MIN_BYTES = 1 << 18
 
-
-@dataclass(frozen=True)
-class SharedArrayRef:
-    """A by-name descriptor of one array living in a shared segment."""
-
-    name: str
-    shape: Tuple[int, ...]
-    dtype: str
+#: The tmpfs directory where POSIX shared-memory segments appear as files.
+SHM_DIR = "/dev/shm"
 
 
 @dataclass(frozen=True)
 class MmapArrayRef:
-    """A by-path descriptor of one array living in a file on disk.
+    """A by-path descriptor of one array living in a file.
 
     ``offset`` is the byte position of the array's first element within
-    the file (the ``.npy`` header plus any view displacement), so a
-    worker reattaches with a single ``np.memmap`` call — zero bytes
-    cross the process boundary and there is nothing to lease or unlink.
+    the file (the ``.npy`` header plus any view displacement, or 0 for a
+    shared-memory segment), so a worker reattaches with a single
+    ``np.memmap`` call.
     """
 
     path: str
@@ -97,11 +96,11 @@ def memmap_backing(arr: np.ndarray) -> "np.memmap | None":
 
 
 def _as_mmap_ref(arr: np.ndarray) -> "MmapArrayRef | None":
-    """Describe ``arr`` by path+offset if its bytes live in a file.
+    """Describe ``arr`` by path+offset if its bytes already live in a file.
 
     Requires a C-contiguous view with a known filename; anything else
-    (strided slices, anonymous maps) returns ``None`` and rides the
-    shm/pickle path instead.
+    (strided slices, anonymous maps) returns ``None`` and is copied into
+    a segment instead.
     """
     mm = memmap_backing(arr)
     if mm is None or not arr.flags.c_contiguous:
@@ -146,10 +145,11 @@ class ShmLease:
 
     def __init__(self) -> None:
         self._segments: List[shared_memory.SharedMemory] = []
+        #: Bytes the export copied into segments (one copy in total).
         self.total_bytes = 0
         # File-backed arrays shipped by reference: counted here for the
-        # transport accounting, but never owned — the MmapStore bundle
-        # (or whoever created the file) controls its lifetime.
+        # transport accounting, but never owned — the cache bundle (or
+        # whoever created the file) controls its lifetime.
         self.mmap_arrays = 0
         self.mmap_bytes = 0
 
@@ -177,8 +177,8 @@ class ShmLease:
 def count_payload_arrays(payload: Any) -> Tuple[int, int]:
     """``(n_arrays, total_bytes)`` of every ndarray in a payload tree.
 
-    Used to meter the pickle transport when shared memory is disabled —
-    the same walk :func:`export_payload` does, without exporting.
+    Used to meter what stays on the pickle path — the same walk
+    :func:`export_payload` does, without exporting.
     """
     if isinstance(payload, np.ndarray):
         return 1, payload.nbytes
@@ -201,57 +201,58 @@ def count_payload_arrays(payload: Any) -> Tuple[int, int]:
     return n_arrays, n_bytes
 
 
-def _export_array(
-    arr: np.ndarray, lease: ShmLease, min_bytes: int
-) -> "np.ndarray | SharedArrayRef | MmapArrayRef":
-    if arr.nbytes < min_bytes or arr.nbytes == 0:
+def _spill(arr: np.ndarray, lease: ShmLease) -> MmapArrayRef:
+    """Copy a heap array once into a new segment, described by its path."""
+    segment = shared_memory.SharedMemory(create=True, size=arr.nbytes)
+    lease.add(segment, arr.nbytes)
+    path = os.path.join(SHM_DIR, segment.name)
+    if not os.path.exists(path):
+        raise OSError(f"shared-memory segment {segment.name} has no file at {path}")
+    view: np.ndarray = np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf)
+    view[...] = arr
+    return MmapArrayRef(
+        path=path, shape=tuple(arr.shape), dtype=arr.dtype.str, offset=0
+    )
+
+
+def _export_array(arr: np.ndarray, lease: ShmLease) -> "np.ndarray | MmapArrayRef":
+    if arr.nbytes < SHARED_MIN_BYTES:
         return arr
     mmap_ref = _as_mmap_ref(arr)
-    if mmap_ref is not None:
-        # Already on disk: ship the descriptor, copy nothing.
-        lease.mmap_arrays += 1
-        lease.mmap_bytes += arr.nbytes
-        return mmap_ref
-    contiguous = np.ascontiguousarray(arr)
-    segment = shared_memory.SharedMemory(create=True, size=contiguous.nbytes)
-    lease.add(segment, contiguous.nbytes)
-    view: np.ndarray = np.ndarray(
-        contiguous.shape, dtype=contiguous.dtype, buffer=segment.buf
-    )
-    view[...] = contiguous
-    return SharedArrayRef(
-        name=segment.name, shape=tuple(contiguous.shape), dtype=contiguous.dtype.str
-    )
+    if mmap_ref is None:
+        return _spill(arr, lease)
+    # Already on disk: ship the descriptor, copy nothing.
+    lease.mmap_arrays += 1
+    lease.mmap_bytes += arr.nbytes
+    return mmap_ref
 
 
-def _export(value: Any, lease: ShmLease, min_bytes: int) -> Any:
-    if isinstance(value, (SharedArrayRef, MmapArrayRef, _DataclassNode)):
+def _export(value: Any, lease: ShmLease) -> Any:
+    if isinstance(value, (MmapArrayRef, _DataclassNode)):
         return value
     if isinstance(value, np.ndarray):
-        return _export_array(value, lease, min_bytes)
+        return _export_array(value, lease)
     if isinstance(value, dict):
-        out_dict = {k: _export(v, lease, min_bytes) for k, v in value.items()}
+        out_dict = {k: _export(v, lease) for k, v in value.items()}
         if all(out_dict[k] is value[k] for k in value):
             return value
         return out_dict
     if isinstance(value, (list, tuple)):
-        out_items = [_export(v, lease, min_bytes) for v in value]
+        out_items = [_export(v, lease) for v in value]
         if all(a is b for a, b in zip(out_items, value)):
             return value
         return type(value)(out_items)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         names = [f.name for f in dataclasses.fields(value)]
-        exported = {n: _export(getattr(value, n), lease, min_bytes) for n in names}
+        exported = {n: _export(getattr(value, n), lease) for n in names}
         if all(exported[n] is getattr(value, n) for n in names):
             return value
         return _DataclassNode(cls=type(value), fields=exported)
     return value
 
 
-def export_payload(
-    payload: Any, min_bytes: int = SHARED_MIN_BYTES
-) -> Tuple[Any, ShmLease]:
-    """Rewrite a payload tree, moving large arrays into shared segments.
+def export_payload(payload: Any) -> Tuple[Any, ShmLease]:
+    """Rewrite a payload tree, swapping large arrays for path+offset refs.
 
     Returns ``(exported, lease)``.  If the OS refuses shared memory the
     original payload comes back with an empty lease — the caller's pickle
@@ -259,43 +260,26 @@ def export_payload(
     """
     lease = ShmLease()
     try:
-        exported = _export(payload, lease, min_bytes)
+        exported = _export(payload, lease)
     except OSError:
         lease.release()
         return payload, ShmLease()
     return exported, lease
 
 
-#: Segments this process has attached, keyed by name: attach once, keep
-#: the mapping alive for every array view handed out.
-_ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
+def _attach(ref: MmapArrayRef) -> np.ndarray:
+    """Map a shipped array read-only at its recorded offset.
 
-
-def _attach(ref: SharedArrayRef) -> np.ndarray:
-    segment = _ATTACHED.get(ref.name)
-    if segment is None:
-        # Pool workers share the parent's resource-tracker process (fork,
-        # or fd inheritance under spawn), and the tracker's registry is a
-        # set — the attach-side register is a duplicate no-op and the
-        # parent's unlink still deregisters exactly once.
-        segment = shared_memory.SharedMemory(name=ref.name)
-        _ATTACHED[ref.name] = segment
-    arr: np.ndarray = np.ndarray(
-        ref.shape, dtype=np.dtype(ref.dtype), buffer=segment.buf
-    )
-    arr.flags.writeable = False
-    return arr
-
-
-def _attach_mmap(ref: MmapArrayRef) -> np.ndarray:
-    """Re-map a file-backed array read-only at its recorded offset."""
+    Returns a plain ``ndarray`` view of the map: slicing the ``memmap``
+    subclass itself runs Python code on every call.
+    """
     arr: np.ndarray = np.memmap(
         ref.path,
         dtype=np.dtype(ref.dtype),
         mode="r",
         offset=ref.offset,
         shape=ref.shape,
-    )
+    ).view(np.ndarray)
     arr.flags.writeable = False
     return arr
 
@@ -306,10 +290,8 @@ def import_payload(payload: Any) -> Any:
     Views are read-only — the pages are shared with the parent and every
     sibling worker.  Payloads without refs pass through unchanged.
     """
-    if isinstance(payload, SharedArrayRef):
-        return _attach(payload)
     if isinstance(payload, MmapArrayRef):
-        return _attach_mmap(payload)
+        return _attach(payload)
     if isinstance(payload, _DataclassNode):
         return payload.cls(
             **{name: import_payload(v) for name, v in payload.fields.items()}

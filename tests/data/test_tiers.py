@@ -85,8 +85,15 @@ class TestTierColumns:
         config = tier_config("tiny")
         key = tiers._shard_key(config, 2, 4)
         cache.path_for(key).unlink()
-        again = tier_columns("tiny", StageCache(tmp_path / "cache"))
+        again_cache = StageCache(tmp_path / "cache")
+        again = tier_columns("tiny", again_cache)
+        assert again_cache.stats()["misses"] == 1
         np.testing.assert_array_equal(again.checkins.xs, full.checkins.xs)
         np.testing.assert_array_equal(
             again.checkins.offsets, full.checkins.offsets
         )
+        # The recomputed shard was published again: a third run hits.
+        third_cache = StageCache(tmp_path / "cache")
+        tier_columns("tiny", third_cache)
+        assert third_cache.stats()["hits"] == len(_shard_ranges(5))
+        assert third_cache.stats()["misses"] == 0

@@ -129,13 +129,10 @@ class TestShmBench:
         result = run_shm_bench(
             n_points=40_000, n_tasks=8, workers=2, results_dir=tmp_path
         )
-        assert result["pickle"]["pickled_payload_bytes"] > result["payload_nbytes"]
-        if result["shm"]["shared_arrays"]:
-            assert result["shm"]["shared_bytes"] == result["payload_nbytes"]
-            assert (
-                result["shm"]["pickled_payload_bytes"]
-                < result["pickle"]["pickled_payload_bytes"]
-            )
+        assert result["pickled_payload_bytes"] < 4096
+        if result["pool_used"]:
+            assert result["shared_arrays"] == 1
+            assert result["shared_bytes"] == result["payload_nbytes"]
         assert (tmp_path / "BENCH_shm_fanout.json").is_file()
 
 

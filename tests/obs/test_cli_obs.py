@@ -23,19 +23,24 @@ class TestSharedOptionSet:
         assert args.trace == "t.jsonl"
 
     @pytest.mark.parametrize(
-        "argv", [["experiments", "table1"], ["fleet", "run", "churn10"]]
+        "argv", [["experiments", "table1"], ["experiments", "all"]]
     )
     def test_data_plane_subcommands_accept_its_flags(self, argv):
-        args = build_parser().parse_args(argv + ["--workers", "2", "--cache", "--no-shm"])
+        args = build_parser().parse_args(argv + ["--workers", "2", "--cache"])
         assert args.workers == 2
         assert args.cache is True
-        assert args.no_shm is True
 
     @pytest.mark.parametrize("command", ["simulate", "serve", "attack", "verify"])
     def test_subcommands_without_a_data_plane_reject_its_flags(self, command):
         """No flag is accepted and then ignored: --workers is a usage error."""
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args([command, "--workers", "2"])
+        assert exit_info.value.code == 2
+
+    def test_fleet_rejects_data_plane_flags(self):
+        """``repro fleet`` runs the serve workload, which reads no data plane."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["fleet", "run", "churn10", "--workers", "2"])
         assert exit_info.value.code == 2
 
     def test_no_cache_spelling_kept(self):

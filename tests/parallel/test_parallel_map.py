@@ -1,5 +1,12 @@
 """Unit tests for the deterministic process-pool fan-out."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.parallel import (
@@ -27,6 +34,31 @@ def _add_payload(chunk, rng, payload):
 
 def _wrong_length(chunk, rng):
     return [0]
+
+
+def _temporary_churn_faults(chunk, rng):
+    """Page faults taken by allocating, touching and freeing growing buffers.
+
+    Sizes grow (192 KiB to 3 MiB) as chunk temporaries do, so glibc's
+    own threshold, which only rises to the size of the last block freed,
+    never catches up.
+    """
+    import resource
+
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for k in range(1, 17):
+        np.ones(k * (3 << 13))
+    return [resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before] * len(chunk)
+
+
+_CHURN_SCRIPT = """
+from repro.parallel import parallel_map_with_stats
+from tests.parallel.test_parallel_map import _temporary_churn_faults
+faults, stats = parallel_map_with_stats(
+    _temporary_churn_faults, range(2), workers=2, chunk_size=1
+)
+print(int(stats.pool_used), max(faults))
+"""
 
 
 class TestChunkBounds:
@@ -153,6 +185,29 @@ class TestStats:
             _double, range(4), workers=4, chunk_size=100
         )
         assert not stats.pool_used
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="worker allocator tuning is glibc's mallopt"
+)
+def test_pool_workers_reuse_freed_temporaries():
+    """Chunk temporaries come back from the heap, not as fresh zeroed maps.
+
+    Runs in a fresh interpreter so the worker inherits no allocator
+    state from this test process.  Unpinned, every buffer of the loop
+    faults in all its pages again (about 6,300 faults); reused, the loop
+    faults in about the largest buffer once (768 pages).
+    """
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    out = subprocess.run(
+        [sys.executable, "-c", _CHURN_SCRIPT],
+        env=env, cwd=root, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.split()
+    pool_used, faults = int(out[0]), int(out[1])
+    if not pool_used:
+        pytest.skip("no process pool in this environment")
+    assert faults < 2048
 
 
 class TestFig6Determinism:

@@ -2,10 +2,10 @@
 
 Serving columns from memory-mapped ``.npy`` bundles must be a pure
 residency change: every byte round-trips losslessly through the
-:class:`~repro.data.mmapstore.MmapStore`, population kernels produce
+:class:`~repro.data.cache.StageCache`, population kernels produce
 bit-identical outputs whether their inputs live on the heap or in a map,
-and a truncated shard file degrades to regeneration exactly like the
-established corrupt-``.npz`` cache path.
+and a truncated shard file degrades to regeneration like any other
+corrupt bundle.
 """
 
 import math
@@ -18,7 +18,6 @@ from hypothesis.extra import numpy as hnp
 from repro.data import tiers
 from repro.data.cache import StageCache
 from repro.data.columns import PopulationColumns
-from repro.data.mmapstore import MmapStore
 from repro.data.tiers import DatasetTier, tier_columns
 from repro.datagen.population import PopulationConfig, generate_population
 from repro.kernels.frequent import population_eta_counts, population_eta_tops
@@ -40,9 +39,9 @@ class TestRoundTrip:
     @given(floats=float_arrays, ints=int_arrays)
     @settings(max_examples=25, deadline=None)
     def test_bundle_round_trip_is_bit_lossless(self, tmp_path_factory, floats, ints):
-        store = MmapStore(tmp_path_factory.mktemp("mmap"))
-        store.store("k", {"f": floats, "i": ints})
-        loaded = store.load("k")
+        cache = StageCache(tmp_path_factory.mktemp("mmap"))
+        cache.store("k", {"f": floats, "i": ints})
+        loaded = cache.load("k")
         # Byte-level comparison: NaN payloads and signed zeros must
         # survive, not merely compare equal.
         assert loaded["f"].tobytes() == floats.tobytes()
@@ -58,9 +57,9 @@ class TestKernelEquivalence:
         """Heap-served and map-served columns feed kernels identically."""
         users = generate_population(PopulationConfig(n_users=4, seed=seed))
         heap = PopulationColumns.from_users(users)
-        store = MmapStore(tmp_path_factory.mktemp("mmap"))
-        store.store("pop", heap.arrays())
-        mapped = PopulationColumns.from_arrays(store.load("pop"))
+        cache = StageCache(tmp_path_factory.mktemp("mmap"))
+        cache.store("pop", heap.arrays())
+        mapped = PopulationColumns.from_arrays(cache.load("pop"))
 
         heap_profiles = population_profiles(
             heap.checkins.xs, heap.checkins.ys, heap.checkins.offsets
@@ -109,7 +108,7 @@ class TestCrashSafety:
             assert mapped.arrays()[name].tobytes() == expected.tobytes()
 
     def test_truncated_shard_regenerates(self, monkeypatch, tmp_path):
-        """A torn shard write degrades to a miss, like corrupt .npz."""
+        """A torn shard write degrades to a miss and is regenerated."""
         self._tiny(monkeypatch)
         cache = StageCache(tmp_path / "cache")
         full = tier_columns("tiny-mmap", cache, mmap=True)
@@ -119,13 +118,13 @@ class TestCrashSafety:
             name: arr.tobytes() for name, arr in full.arrays().items()
         }
         del full
-        store = MmapStore.for_cache_dir(cache.directory)
         # Truncate one shard bundle AND the combined bundle: the rebuild
         # must treat both as misses and regenerate only what's broken.
         config = tiers.tier_config("tiny-mmap")
-        shard_npy = store.path_for(tiers._shard_key(config, 2, 4)) / "xs.npy"
+        shard_dir = cache.path_for(tiers._shard_key(config, 2, 4)).parent
+        shard_npy = shard_dir / "xs.npy"
         shard_npy.write_bytes(shard_npy.read_bytes()[:-8])
-        combined_dir = store.path_for(tiers._combined_key(config))
+        combined_dir = cache.path_for(tiers._combined_key(config)).parent
         (combined_dir / "xs.npy").write_bytes(b"\x93NUMPY")
         again = tier_columns(
             "tiny-mmap", StageCache(tmp_path / "cache"), mmap=True
