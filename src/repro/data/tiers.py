@@ -172,6 +172,13 @@ def _combined_key(config: PopulationConfig) -> str:
     )
 
 
+def _shard_sizes(arrays: Optional[Dict[str, np.ndarray]]) -> Optional[Tuple[int, int]]:
+    """``(check-ins, tops)`` of a shard's arrays, or ``None`` for a miss."""
+    if arrays is None:
+        return None
+    return int(arrays["xs"].shape[0]), int(arrays["top_xs"].shape[0])
+
+
 def _tier_columns_mmap(
     config: PopulationConfig, cache: StageCache, workers: Optional[int]
 ) -> PopulationColumns:
@@ -183,8 +190,10 @@ def _tier_columns_mmap(
     previous in-memory run cached, generating the rest in waves of
     :data:`MMAP_WAVE_SHARDS` so heap residency is bounded by the wave,
     not the tier — then streamed into one preallocated bundle with
-    offsets rebased shard by shard.  Page-release advice after each shard
-    keeps the build's peak RSS flat at any tier size.
+    offsets rebased shard by shard.  Each shard is opened only while it
+    is copied, so the build holds one shard's maps at a time, and
+    page-release advice after each shard keeps its peak RSS flat at any
+    tier size.
     """
     from repro.parallel.pool import parallel_map
 
@@ -195,11 +204,13 @@ def _tier_columns_mmap(
 
     ranges = _shard_ranges(config.n_users)
     keys = [_shard_key(config, start, stop) for start, stop in ranges]
-    shard_arrays: List[Optional[Dict[str, np.ndarray]]] = [
-        cache.load(k) for k in keys
+    # Only the sizes are kept: each map holds a file descriptor, and the
+    # copy below reopens the shards one at a time.
+    sizes: List[Optional[Tuple[int, int]]] = [
+        _shard_sizes(cache.load(k)) for k in keys
     ]
 
-    missing = [i for i, a in enumerate(shard_arrays) if a is None]
+    missing = [i for i, size in enumerate(sizes) if size is None]
     for wave_start in range(0, len(missing), MMAP_WAVE_SHARDS):
         wave = missing[wave_start:wave_start + MMAP_WAVE_SHARDS]
         generated = parallel_map(
@@ -213,11 +224,10 @@ def _tier_columns_mmap(
             # Same trust boundary as the in-memory path's shard store.
             # reprolint: disable=PRIV003
             cache.store(keys[i], arrays)
-            shard_arrays[i] = cache.load(keys[i])
+            sizes[i] = _shard_sizes(arrays)
 
-    shards = [a for a in shard_arrays if a is not None]
-    n_checkins = sum(int(a["xs"].shape[0]) for a in shards)
-    n_tops = sum(int(a["top_xs"].shape[0]) for a in shards)
+    n_checkins = sum(size[0] for size in sizes if size)
+    n_tops = sum(size[1] for size in sizes if size)
     n_rows = config.n_users + 1
     specs: Dict[str, Tuple[Tuple[int, ...], str]] = {
         "xs": ((n_checkins,), "<f8"),
@@ -233,7 +243,13 @@ def _tier_columns_mmap(
         out["offsets"][0] = 0
         out["top_offsets"][0] = 0
         row = top = user = 0
-        for j, a in enumerate(shards):
+        for j, shard_key in enumerate(keys):
+            a = cache.load(shard_key)
+            if a is None:
+                raise RuntimeError(
+                    "tier shard vanished during the mmap build: "
+                    f"{cache.path_for(shard_key)}"
+                )
             k = int(a["xs"].shape[0])
             t = int(a["top_xs"].shape[0])
             u = int(a["offsets"].shape[0]) - 1
@@ -248,6 +264,7 @@ def _tier_columns_mmap(
             top += t
             user += u
             release_pages(*a.values())
+            del a
             if (j + 1) % MMAP_WAVE_SHARDS == 0:
                 # Push dirty pages to disk and surrender them so the
                 # writer's residency stays one wave, not the whole tier.

@@ -31,7 +31,7 @@ import pickle
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -331,72 +331,81 @@ def _exported_pickle_bytes(payload: dict) -> int:
         lease.release()
 
 
+def _gated_seconds(archive: dict) -> Dict[str, float]:
+    """The timings ``--compare`` gates, keyed by their report label.
+
+    The wall clock, every ``stage_seconds`` entry and every span's
+    ``seconds`` (the per-layer split); values that are not finite numbers
+    are left out.
+    """
+    timings: Dict[str, Any] = {"wall_seconds": archive.get("wall_seconds")}
+    stages = archive.get("stage_seconds")
+    if isinstance(stages, dict):
+        for stage in sorted(stages):
+            timings[f"stage {stage!r}"] = stages[stage]
+    spans = archive.get("spans")
+    if isinstance(spans, dict):
+        for name in sorted(spans):
+            if isinstance(spans[name], dict):
+                timings[f"span {name!r}"] = spans[name].get("seconds")
+    gated: Dict[str, float] = {}
+    for label, value in timings.items():
+        try:
+            seconds = float(value)
+        except (TypeError, ValueError):
+            continue
+        if np.isfinite(seconds):
+            gated[label] = seconds
+    return gated
+
+
 def _stage_regressions(
     old: dict, new: dict, threshold: float, min_abs: float
 ) -> List[str]:
+    old_seconds, new_seconds = _gated_seconds(old), _gated_seconds(new)
     problems = []
-    old_wall = old.get("wall_seconds")
-    new_wall = new.get("wall_seconds")
-    if (
-        isinstance(old_wall, (int, float))
-        and isinstance(new_wall, (int, float))
-        and np.isfinite(old_wall)
-        and np.isfinite(new_wall)
-        and new_wall > old_wall * (1.0 + threshold)
-        and new_wall - old_wall > min_abs
-    ):
-        problems.append(
-            f"wall_seconds: {old_wall:.3f}s -> {new_wall:.3f}s "
-            f"(+{(new_wall / old_wall - 1.0) * 100.0:.1f}%)"
-        )
-    old_stages = old.get("stage_seconds") or {}
-    new_stages = new.get("stage_seconds") or {}
-    if not isinstance(old_stages, dict):
-        old_stages = {}
-    if not isinstance(new_stages, dict):
-        new_stages = {}
-    for stage in sorted(set(old_stages) & set(new_stages)):
-        try:
-            o, n = float(old_stages[stage]), float(new_stages[stage])
-        except (TypeError, ValueError):
+    for label, o in old_seconds.items():
+        n = new_seconds.get(label)
+        if n is None or not (n > o * (1.0 + threshold) and n - o > min_abs):
             continue
-        if n > o * (1.0 + threshold) and n - o > min_abs:
-            problems.append(
-                f"stage {stage!r}: {o:.3f}s -> {n:.3f}s "
-                f"(+{(n / o - 1.0) * 100.0:.1f}%)"
-            )
+        growth = f"+{(n / o - 1.0) * 100.0:.1f}%" if o > 0 else "from zero"
+        problems.append(f"{label}: {o:.3f}s -> {n:.3f}s ({growth})")
     return problems
 
 
 def stage_key_notes(old: dict, new: dict) -> List[str]:
-    """Non-fatal notes about stage keys the gate could not compare.
+    """Non-fatal notes about stage and span keys the gate could not compare.
 
     A stage-version bump (or a renamed span) silently drops keys out of
     the OLD∩NEW intersection the regression gate walks; these notes make
     the uncomparable keys explicit so a "clean" comparison that actually
     compared nothing is visible in the gate's output.
     """
-    old_stages = old.get("stage_seconds") or {}
-    new_stages = new.get("stage_seconds") or {}
-    if not isinstance(old_stages, dict) or not isinstance(new_stages, dict):
-        return ["stage_seconds is not a mapping in one archive; stages not compared"]
     notes: List[str] = []
-    gone = sorted(set(old_stages) - set(new_stages))
-    added = sorted(set(new_stages) - set(old_stages))
-    if gone:
-        notes.append(
-            "stages only in OLD (removed or renamed, not compared): "
-            + ", ".join(repr(s) for s in gone)
-        )
-    if added:
-        notes.append(
-            "stages only in NEW (added or renamed, not compared): "
-            + ", ".join(repr(s) for s in added)
-        )
-    if old_stages and new_stages and not (set(old_stages) & set(new_stages)):
-        notes.append(
-            "no common stage keys — only the overall wall clock was gated"
-        )
+    for field, noun in (("stage_seconds", "stages"), ("spans", "spans")):
+        old_keys = old.get(field) or {}
+        new_keys = new.get(field) or {}
+        if not isinstance(old_keys, dict) or not isinstance(new_keys, dict):
+            notes.append(f"{field} is not a mapping in one archive; {noun} not compared")
+            continue
+        gone = sorted(set(old_keys) - set(new_keys))
+        added = sorted(set(new_keys) - set(old_keys))
+        if gone:
+            notes.append(
+                f"{noun} only in OLD (removed or renamed, not compared): "
+                + ", ".join(repr(s) for s in gone)
+            )
+        if added:
+            notes.append(
+                f"{noun} only in NEW (added or renamed, not compared): "
+                + ", ".join(repr(s) for s in added)
+            )
+        if field == "stage_seconds" and old_keys and new_keys and not (
+            set(old_keys) & set(new_keys)
+        ):
+            notes.append(
+                "no common stage keys — only the wall clock and shared spans were gated"
+            )
     return notes
 
 
@@ -408,10 +417,11 @@ def compare_benches(
 ) -> List[str]:
     """Wall-clock regressions of ``new`` over ``old``; empty when clean.
 
-    A regression is flagged when a stage (or the overall wall clock) is
-    both ``threshold`` fractionally slower *and* ``min_abs_seconds``
-    absolutely slower — the absolute floor keeps millisecond-scale stages
-    from tripping the gate on scheduler noise.
+    A regression is flagged when the overall wall clock, a stage, or a
+    span (a layer of the run) present in both archives is both
+    ``threshold`` fractionally slower *and* ``min_abs_seconds`` absolutely
+    slower — the absolute floor keeps millisecond-scale stages from
+    tripping the gate on scheduler noise.
     """
     return _stage_regressions(old, new, threshold, min_abs_seconds)
 

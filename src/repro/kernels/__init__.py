@@ -6,10 +6,11 @@ array passes, while staying bit-identical to the per-user object path it
 supersedes:
 
 * :mod:`repro.kernels.cluster` — connectivity clustering for every
-  user's check-ins at once (grid cells, box pruning, C-level connected
-  components).
+  user's check-ins at once (grid cells, a windowed neighbour scan, box
+  pruning, C-level connected components), producing the partition.
 * :mod:`repro.kernels.profiles` — location profiles (centroids + counts,
-  profile-ordered) via global bincounts and one lexsort.
+  profile-ordered) via global bincounts over that partition and integer
+  sort keys.
 * :mod:`repro.kernels.frequent` — eta-frequent location sets via a
   segment cumsum (Algorithm 2 for the whole shard).
 * :mod:`repro.kernels.gaussian` — batched n-fold Gaussian pinning with

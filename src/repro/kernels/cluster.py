@@ -11,18 +11,27 @@ this kernel clusters **every user of a shard in one array pass**:
   ``user * stride + kx * width + ky`` code, so one sorted code array
   holds every user's grid and users can never alias each other's cells;
 * candidate cell pairs come from the same 12 half-plane neighbour
-  offsets, located with one ``searchsorted`` per offset over all users
-  at once;
+  offsets.  Codes are unique and sorted, so the neighbours of a cell in
+  the next grid column (or the one after) sit in a window of five
+  positions that one ``searchsorted`` per column offset locates, over
+  all users at once; same-column neighbours are the next two positions;
 * pairs are resolved with per-cell bounding boxes first — box distances
   are monotone bounds of the exact pair predicate, so "surely
   connected" / "surely disconnected" decisions agree with the
   point-level test in exact float arithmetic; the ambiguous remainder
-  goes through staged capped witness probes (dropping pairs whose cells
-  a provisional component pass already connects), and only the tiny
-  leftover pays the full batched cross-pair distance test;
+  goes through staged capped witness probes (the cheapest probe over
+  every ambiguous pair, then dropping pairs whose cells the components
+  so far already connect), and only the tiny leftover pays the full
+  batched cross-pair distance test;
 * cell connectivity goes through
   :func:`scipy.sparse.csgraph.connected_components` (C speed) instead
-  of a python union-find.
+  of a python union-find: one pass over the box-proven and first-probe
+  edges, then merges over only the components that a later stage's
+  hits touch;
+* the result is the PARTITION (:func:`population_components`): a
+  global component id per check-in, numbered in first-member order.
+  Profiles need nothing more — their centroids are bincounts over these
+  ids — so only :func:`population_component_labels` ranks components.
 
 The resulting per-user labels are **bit-identical** to running
 ``component_labels(user_coords, radius)`` user by user: the edge set is
@@ -40,7 +49,12 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _graph_components
 
-__all__ = ["population_component_labels", "PAIR_TEST_BATCH", "PROBE_CAPS"]
+__all__ = [
+    "population_components",
+    "population_component_labels",
+    "PAIR_TEST_BATCH",
+    "PROBE_CAPS",
+]
 
 #: Upper bound on cross-pair elements tested per vectorised batch; keeps
 #: the ambiguous-pair resolution memory-bounded on dense shards.
@@ -181,15 +195,17 @@ def _probe_pairs(
     return hit
 
 
-def population_component_labels(
+def population_components(
     xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray, radius: float
-) -> np.ndarray:
-    """Per-user component labels for every check-in of a CSR shard.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The connectivity partition of every user of a CSR shard.
 
-    ``labels[offsets[i]:offsets[i+1]]`` equals
-    ``component_labels(column_stack((xs, ys))[slice], radius)`` for each
-    user ``i``, bit for bit: within each user, label ``k`` selects that
-    user's ``k``-th largest component (ties by smallest member index).
+    Returns ``(point_comp, comp_user)``: a global component id per
+    check-in and the owning user per component.  Component ids are
+    numbered in order of each component's first check-in, so they are
+    grouped by user (``comp_user`` is non-decreasing) and, within a user,
+    ascend with the smallest member index — the tie order of the
+    per-user ranking contract.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -198,7 +214,7 @@ def population_component_labels(
     offsets = np.asarray(offsets, dtype=np.int64)
     n = len(xs)
     if n == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     user_of_point = np.repeat(
         np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets)
     )
@@ -216,8 +232,15 @@ def population_component_labels(
     unique_codes = sorted_code[starts]
     n_cells = len(unique_codes)
     sizes = np.diff(np.append(starts, n))
-    cell_of_point = np.empty(n, dtype=np.int64)
-    cell_of_point[order] = np.repeat(np.arange(n_cells, dtype=np.int64), sizes)
+
+    # Start from one component per cell, numbered by the cell's first
+    # check-in (the stable argsort puts a cell's smallest point index at
+    # its start).  Merges keep the smallest label of what they join, so
+    # component ids stay in first-member order with no per-point ranking.
+    first_point = order[starts]
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first_point] = True
+    cell_comp = np.cumsum(is_first)[first_point] - 1
 
     # Per-cell point bounding boxes (segments are non-empty by
     # construction, so reduceat is well defined).
@@ -227,21 +250,7 @@ def population_component_labels(
     box_min_y = np.minimum.reduceat(sy, starts)
     box_max_y = np.maximum.reduceat(sy, starts)
 
-    # Candidate neighbour pairs: one searchsorted per offset, all users
-    # at once (composite codes guarantee matches stay within one user).
-    pair_a_parts, pair_b_parts = [], []
-    for ox, oy in _neighbor_offsets(cell, radius):
-        target = unique_codes + (ox * width + oy)
-        pos = np.searchsorted(unique_codes, target)
-        pos = np.minimum(pos, n_cells - 1)
-        hits = np.flatnonzero(unique_codes[pos] == target)
-        pair_a_parts.append(hits)
-        pair_b_parts.append(pos[hits])
-    if pair_a_parts:
-        pa = np.concatenate(pair_a_parts)
-        pb = np.concatenate(pair_b_parts)
-    else:  # pragma: no cover - offsets list is never empty
-        pa = pb = np.empty(0, dtype=np.int64)
+    pa, pb = _neighbor_pairs(unique_codes, width, _neighbor_offsets(cell, radius))
 
     # Box pruning.  Both bounds are monotone under float rounding, so
     # they are exact-conservative with respect to the pair predicate:
@@ -260,45 +269,125 @@ def population_component_labels(
     surely_joined = span_x * span_x + span_y * span_y <= r2
 
     # Staged resolution.  Only the final component PARTITION must match
-    # the per-user path — edges already implied by it may be skipped — so
-    # each stage unions what it has proven, drops ambiguous pairs whose
-    # cells now share a component, and hands the shrunken remainder to
-    # the next (more expensive) stage.  On routine-driven populations the
-    # capped probes leave the exact cross-pair test almost nothing.
+    # the per-user path — edges already implied by it may be skipped.
+    # The cheapest probe runs over every ambiguous pair and its hits are
+    # merged together with the box-proven edges in one graph pass; each
+    # later stage drops ambiguous pairs whose cells already share a
+    # component and merges only its own hits, so its graph pass covers
+    # just the components those hits touch.  On routine-driven
+    # populations the capped probes leave the exact cross-pair test
+    # almost nothing.
     ambiguous = ~(surely_apart | surely_joined)
-    edge_a, edge_b = pa[surely_joined], pb[surely_joined]
-    cell_comp = _cell_components(edge_a, edge_b, n_cells)
     rem_a, rem_b = pa[ambiguous], pb[ambiguous]
-    rem_a, rem_b = _drop_connected(rem_a, rem_b, cell_comp)
+    join_a, join_b = pa[surely_joined], pb[surely_joined]
     for cap in PROBE_CAPS:
-        if not len(rem_a):
-            break
         hit = _probe_pairs(xs, ys, order, starts, sizes, rem_a, rem_b, r2, cap)
-        edge_a = np.concatenate([edge_a, rem_a[hit]])
-        edge_b = np.concatenate([edge_b, rem_b[hit]])
-        cell_comp = _cell_components(edge_a, edge_b, n_cells)
-        rem_a, rem_b = _drop_connected(rem_a[~hit], rem_b[~hit], cell_comp)
-    if len(rem_a):
-        full = _resolve_ambiguous_pairs(
-            xs, ys, order, starts, sizes, rem_a, rem_b, r2
+        cell_comp = _merge_components(
+            cell_comp,
+            np.concatenate([join_a, rem_a[hit]]),
+            np.concatenate([join_b, rem_b[hit]]),
         )
-        edge_a = np.concatenate([edge_a, rem_a[full]])
-        edge_b = np.concatenate([edge_b, rem_b[full]])
-        cell_comp = _cell_components(edge_a, edge_b, n_cells)
-    point_comp = cell_comp[cell_of_point].astype(np.int64)
+        join_a, join_b = join_a[:0], join_b[:0]
+        rem_a, rem_b = _drop_connected(rem_a[~hit], rem_b[~hit], cell_comp)
+    full = _resolve_ambiguous_pairs(xs, ys, order, starts, sizes, rem_a, rem_b, r2)
+    cell_comp = _merge_components(cell_comp, rem_a[full], rem_b[full])
 
-    return _rank_components_per_user(point_comp, user_of_point)
+    comp_user = np.empty(int(cell_comp.max()) + 1, dtype=np.int64)
+    comp_user[cell_comp] = user_of_point[first_point]
+    point_comp = np.empty(n, dtype=np.int64)
+    point_comp[order] = np.repeat(cell_comp, sizes)
+    return point_comp, comp_user
 
 
-def _cell_components(
-    edge_a: np.ndarray, edge_b: np.ndarray, n_cells: int
+def population_component_labels(
+    xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray, radius: float
 ) -> np.ndarray:
-    """Connected-component label per cell under the given edge set."""
+    """Per-user component labels for every check-in of a CSR shard.
+
+    ``labels[offsets[i]:offsets[i+1]]`` equals
+    ``component_labels(column_stack((xs, ys))[slice], radius)`` for each
+    user ``i``, bit for bit: within each user, label ``k`` selects that
+    user's ``k``-th largest component (ties by smallest member index).
+    """
+    point_comp, comp_user = population_components(xs, ys, offsets, radius)
+    if not len(point_comp):
+        return point_comp
+    n_comps = len(comp_user)
+    counts = np.bincount(point_comp, minlength=n_comps)
+    # Stable, so equal sizes keep component-id (= first member) order.
+    order = np.lexsort((-counts, comp_user))
+    rank = np.empty(n_comps, dtype=np.int64)
+    rank[order] = np.arange(n_comps, dtype=np.int64)
+    # Components are grouped by user, so the user's first component id
+    # rebases ranks to zero within each user block.
+    user_base = np.searchsorted(comp_user, comp_user)
+    return (rank - user_base)[point_comp]
+
+
+def _neighbor_pairs(
+    codes: np.ndarray, width: int, offsets: list
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every cell pair ``(a, b)`` with ``codes[b] - codes[a]`` an offset.
+
+    ``codes`` are unique and sorted, and each ``ox`` row of the offsets
+    is a contiguous ``oy`` range ``lo..hi`` (the corner-gap filter is
+    monotone in ``|oy|``).  So the row's neighbours of a cell sit in the
+    ``hi - lo + 1`` positions from the first code ``>= code + ox*width +
+    lo``: one ``searchsorted`` per row finds them all, and the ``ox = 0``
+    row needs none.
+    """
+    n_cells = len(codes)
+    pair_a_parts, pair_b_parts = [], []
+    for ox in sorted({ox for ox, _ in offsets}):
+        oys = [oy for o, oy in offsets if o == ox]
+        lo, hi = min(oys), max(oys)
+        row = codes + ox * width
+        if ox == 0:
+            # lo >= 1 on this row and codes are unique integers, so the
+            # first code >= code + lo is the next one.
+            start = np.arange(1, n_cells + 1, dtype=np.int64)
+        else:
+            start = np.searchsorted(codes, row + lo)
+        for k in range(hi - lo + 1):
+            b = start + k
+            oy = np.take(codes, b, mode="clip") - row
+            a = np.flatnonzero((b < n_cells) & (oy >= lo) & (oy <= hi))
+            pair_a_parts.append(a)
+            pair_b_parts.append(b[a])
+    return np.concatenate(pair_a_parts), np.concatenate(pair_b_parts)
+
+
+def _merge_components(
+    cell_comp: np.ndarray, edge_a: np.ndarray, edge_b: np.ndarray
+) -> np.ndarray:
+    """Cell component labels after joining the cells of each edge.
+
+    ``cell_comp`` holds dense labels ``0..k-1``.  Only the components the
+    edges touch enter the graph pass; each merged group keeps its
+    smallest label, and labels are re-densified in order, so label order
+    (first-member order) is preserved.
+    """
+    if not len(edge_a):
+        return cell_comp
+    comp_a, comp_b = cell_comp[edge_a], cell_comp[edge_b]
+    n_comps = int(cell_comp.max()) + 1
+    touched = np.zeros(n_comps, dtype=bool)
+    touched[comp_a] = True
+    touched[comp_b] = True
+    ids = np.flatnonzero(touched)
+    local = np.cumsum(touched) - 1
+    # Float weights: repeated component pairs sum without wrapping.
     graph = coo_matrix(
-        (np.ones(len(edge_a), dtype=np.int8), (edge_a, edge_b)),
-        shape=(n_cells, n_cells),
+        (np.ones(len(comp_a)), (local[comp_a], local[comp_b])),
+        shape=(len(ids), len(ids)),
     )
-    return _graph_components(graph, directed=False)[1]
+    group = _graph_components(graph, directed=False)[1]
+    root = np.full(int(group.max()) + 1, n_comps, dtype=np.int64)
+    np.minimum.at(root, group, ids)
+    merged = np.arange(n_comps, dtype=np.int64)
+    merged[ids] = root[group]
+    survives = merged == np.arange(n_comps)
+    return (np.cumsum(survives) - 1)[merged][cell_comp]
 
 
 def _drop_connected(
@@ -307,27 +396,3 @@ def _drop_connected(
     """Keep only pairs whose cells are still in different components."""
     keep = cell_comp[pa] != cell_comp[pb]
     return pa[keep], pb[keep]
-
-
-def _rank_components_per_user(
-    point_comp: np.ndarray, user_of_point: np.ndarray
-) -> np.ndarray:
-    """Per-user (size desc, first member asc) ranks for global components.
-
-    Components never span users (the composite codes keep users apart),
-    so ranking within ``user_of_point`` groups reproduces the per-user
-    ``component_labels`` ordering contract exactly.
-    """
-    n = len(point_comp)
-    _, inverse, counts = np.unique(point_comp, return_inverse=True, return_counts=True)
-    n_comps = len(counts)
-    first = np.full(n_comps, n, dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(n, dtype=np.int64))
-    comp_user = user_of_point[first]
-    order = np.lexsort((first, -counts, comp_user))
-    rank = np.empty(n_comps, dtype=np.int64)
-    rank[order] = np.arange(n_comps, dtype=np.int64)
-    # Rebase ranks to zero within each user block.
-    comps_per_user = np.bincount(comp_user, minlength=int(user_of_point.max()) + 1)
-    user_base = np.concatenate([[0], np.cumsum(comps_per_user)])[:-1]
-    return rank[inverse] - user_base[user_of_point]

@@ -1,6 +1,10 @@
 """Unit tests for the named dataset tiers and their shard streaming."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,3 +101,44 @@ class TestTierColumns:
         tier_columns("tiny", third_cache)
         assert third_cache.stats()["hits"] == len(_shard_ranges(5))
         assert third_cache.stats()["misses"] == 0
+
+
+_FD_LIMITED_BUILD = """
+import math, resource, sys
+import numpy as np
+from repro.data import mmapstore, tiers
+from repro.data.cache import StageCache
+from repro.data.tiers import DatasetTier, tier_columns
+
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (128, hard))
+# Map every non-empty array (each map holds a file descriptor) and cut the
+# tier into 130 one-user shards: holding every shard's maps at once would
+# need several times the 128 descriptors allowed.
+mmapstore.SHARED_MIN_BYTES = 1
+tiers.TIER_SHARD_USERS = 1
+tiers.TIERS["fd-tier"] = DatasetTier(
+    name="fd-tier", n_users=130,
+    count_log_mean=math.log(30.0), count_log_sigma=0.3, max_checkins=60,
+)
+mapped = tier_columns("fd-tier", StageCache(sys.argv[1]), mmap=True)
+heap = tier_columns("fd-tier")
+for name, expected in heap.arrays().items():
+    assert mapped.arrays()[name].tobytes() == expected.tobytes(), name
+print("ok")
+"""
+
+
+def test_mmap_build_holds_one_shards_maps_at_a_time(tmp_path):
+    """A many-shard mmap build fits under a 128-descriptor limit and gives
+    the heap path's bytes."""
+    src = Path(tiers.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-c", _FD_LIMITED_BUILD, str(tmp_path / "cache")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "ok"

@@ -26,6 +26,10 @@ def _bench(wall, stages=None):
     }
 
 
+def _spans(seconds):
+    return {name: {"count": 1, "seconds": s} for name, s in seconds.items()}
+
+
 class TestCompare:
     def test_equal_is_clean(self):
         assert compare_benches(_bench(1.0), _bench(1.0)) == []
@@ -60,6 +64,24 @@ class TestCompare:
 
     def test_missing_wall_seconds_tolerated(self):
         assert compare_benches({"stage_seconds": {}}, _bench(9.0)) == []
+
+    def test_span_regression_flagged(self):
+        """A layer that doubles fails the gate even when the wall clock and
+        stages hold (e.g. profile got slower while pin got faster)."""
+        spans = {"table2.profile": 3.0, "table2.pin": 0.7, "table2.eta": 0.05}
+        old = dict(_bench(3.0, {"10000": 0.6}), spans=_spans(spans))
+        new = dict(
+            _bench(3.0, {"10000": 0.6}),
+            spans=_spans({**spans, "table2.profile": 6.0, "table2.pin": 0.1}),
+        )
+        problems = compare_benches(old, new)
+        assert len(problems) == 1
+        assert "table2.profile" in problems[0]
+
+    def test_span_floor_and_unshared_spans(self):
+        old = dict(_bench(1.0), spans=_spans({"tiny": 0.01, "only_old": 5.0}))
+        new = dict(_bench(1.0), spans=_spans({"tiny": 0.04, "only_new": 5.0}))
+        assert compare_benches(old, new) == []
 
 
 class TestCompareCli:
@@ -153,6 +175,16 @@ class TestStageKeyNotes:
         assert len(notes) == 2
         assert "'datagen.v1'" in notes[0] and "OLD" in notes[0]
         assert "'datagen.v2'" in notes[1] and "NEW" in notes[1]
+
+    def test_renamed_spans_reported(self):
+        from repro.experiments.bench import stage_key_notes
+
+        old = dict(_bench(1.0), spans=_spans({"table2.profile": 1.0}))
+        new = dict(_bench(1.0), spans=_spans({"table2.profiles": 1.0}))
+        notes = stage_key_notes(old, new)
+        assert len(notes) == 2
+        assert "spans only in OLD" in notes[0] and "'table2.profile'" in notes[0]
+        assert "spans only in NEW" in notes[1] and "'table2.profiles'" in notes[1]
 
     def test_disjoint_keys_warn_wall_clock_only(self):
         from repro.experiments.bench import stage_key_notes

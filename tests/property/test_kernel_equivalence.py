@@ -51,7 +51,7 @@ class TestClusterKernel:
     def test_labels_match_per_user_component_labels(self, seed):
         """Each user's slice equals standalone clustering of their trace."""
         ck = _checkins(seed)
-        for radius in (50.0, DEFAULT_CONNECT_RADIUS_M):
+        for radius in (20.0, DEFAULT_CONNECT_RADIUS_M, 150.0):
             labels = population_component_labels(
                 ck.xs, ck.ys, ck.offsets, radius
             )
