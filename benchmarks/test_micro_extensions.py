@@ -5,9 +5,7 @@ import numpy as np
 from repro.attack.kmeans import kmeans
 from repro.core.mechanism import default_rng
 from repro.core.remap import BayesianRemap, LocationPrior, gaussian_noise_loglik
-from repro.edge.secure_merge import GridSpec, share_histogram
 from repro.geo.point import Point
-from repro.profiles.checkin import CheckIn
 
 
 def test_bayesian_remap(benchmark):
@@ -23,18 +21,3 @@ def test_kmeans_2k_points(benchmark):
     )
     benchmark(kmeans, pts, 6, default_rng(1))
 
-
-def test_secret_share_histogram(benchmark):
-    rng = default_rng(2)
-    counts = rng.integers(0, 10_000, size=10_000).astype(np.int64)
-    benchmark(share_histogram, counts, 3, rng)
-
-
-def test_grid_histogram_10k_checkins(benchmark):
-    grid = GridSpec(-50_000.0, -50_000.0, 100.0, 1_000, 1_000)
-    rng = default_rng(3)
-    checkins = [
-        CheckIn(float(i), Point(float(x), float(y)))
-        for i, (x, y) in enumerate(rng.uniform(-40_000, 40_000, (10_000, 2)))
-    ]
-    benchmark(grid.histogram, checkins)

@@ -30,27 +30,3 @@ __all__ = [
     "common_radius_interval",
     "MILES_TO_M",
 ]
-
-from repro.ads.targeting import (
-    AdministrativeArea,
-    AreaRegistry,
-    AreaTargeting,
-    CountryTargeting,
-    GeoTargeting,
-    RadiusTargeting,
-    RequestGeo,
-)
-
-__all__ += [
-    "GeoTargeting",
-    "CountryTargeting",
-    "AreaTargeting",
-    "RadiusTargeting",
-    "AdministrativeArea",
-    "AreaRegistry",
-    "RequestGeo",
-]
-
-from repro.ads.geo_network import GeoAdNetwork, GeoCampaign, build_request_geo
-
-__all__ += ["GeoAdNetwork", "GeoCampaign", "build_request_geo"]

@@ -1,8 +1,12 @@
 """The Edge-PrivLocAd edge modules (paper Section V).
 
 Location management, the permanent obfuscation table, and output
-selection, plus risk assessment and secure profile merging.  The
-per-user pipeline that runs them is :class:`repro.serve.actor.UserActor`.
+selection, plus risk assessment and the time sources their latency
+readings come from.  The per-user pipeline that runs them is
+:class:`repro.serve.actor.UserActor`; the table's one durable form is
+:meth:`ObfuscationModule.snapshot`, carried inside
+:meth:`UserActor.snapshot <repro.serve.actor.UserActor.snapshot>` and
+stored by :class:`repro.fleet.checkpoint.CheckpointStore`.
 """
 
 from repro.edge.clock import TimeSource, VirtualTimeSource, WallTimeSource
@@ -19,22 +23,6 @@ __all__ = [
     "TimeSource",
     "WallTimeSource",
     "VirtualTimeSource",
-]
-
-from repro.edge.secure_merge import (
-    MODULUS,
-    GridSpec,
-    SecureProfileMerge,
-    reconstruct_histogram,
-    share_histogram,
-)
-
-__all__ += [
-    "GridSpec",
-    "SecureProfileMerge",
-    "share_histogram",
-    "reconstruct_histogram",
-    "MODULUS",
 ]
 
 from repro.edge.risk import RiskAssessment, RiskAssessor, RiskLevel, self_attack_margin

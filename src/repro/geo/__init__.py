@@ -10,7 +10,6 @@ from repro.geo.geometry import (
     union_coverage_fraction,
 )
 from repro.geo.index import GridIndex, UnionFind, connected_components
-from repro.geo.polygon import Polygon
 from repro.geo.point import (
     Point,
     array_to_points,
@@ -23,7 +22,6 @@ from repro.geo.point import (
 from repro.geo.projection import EARTH_RADIUS_M, GeoPoint, LocalProjection, haversine_m
 
 __all__ = [
-    "Polygon",
     "UnionFind",
     "connected_components",
     "BoundingBox",

@@ -33,10 +33,6 @@ __all__ = [
     "summarize_chunks",
 ]
 
-from repro.metrics.qos import expected_distance_loss, report_distances
-
-__all__ += ["expected_distance_loss", "report_distances"]
-
 from repro.metrics.bootstrap import ConfidenceInterval, bootstrap_ci, proportion_ci
 
 __all__ += ["ConfidenceInterval", "bootstrap_ci", "proportion_ci"]

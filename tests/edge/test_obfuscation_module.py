@@ -1,5 +1,7 @@
 """Unit tests for the obfuscation table and module (permanence guarantee)."""
 
+import json
+
 import pytest
 
 from repro.core.gaussian import NFoldGaussianMechanism
@@ -75,3 +77,32 @@ class TestObfuscationModule:
         module = self._module(paper_budget)
         module.ensure_obfuscated([Point(0, 0)])
         assert len(module.candidates_for(Point(0, 0))) == 10
+
+
+class TestSnapshotRoundtrip:
+    """The table's durable form: module snapshot → JSON text → restore."""
+
+    def _roundtrip(self, module):
+        restored = ObfuscationModule(module.mechanism, match_radius=module.table.match_radius)
+        restored.restore(json.loads(json.dumps(module.snapshot())))
+        return restored
+
+    def test_roundtrip_preserves_pins(self, paper_budget):
+        mech = NFoldGaussianMechanism(paper_budget, rng=default_rng(0))
+        module = ObfuscationModule(mech, match_radius=120.0)
+        tops = [Point(100.0, 200.0), Point(5_000.0, -300.0), Point(330.0, 200.0)]
+        module.ensure_obfuscated(tops)
+        restored = self._roundtrip(module)
+        assert restored.table.entries == module.table.entries  # pin order too
+        assert restored.obfuscation_count == module.obfuscation_count == 3
+        # (215, 200) is equidistant from two pins: lookup breaks the tie on
+        # pin order, so a reordered restore would answer differently.
+        for query in tops + [Point(215.0, 200.0), Point(0.0, 0.0), Point(9e3, 0.0)]:
+            assert restored.candidates_for(query) == module.candidates_for(query)
+
+    def test_restored_table_still_permanent(self, paper_budget):
+        module = ObfuscationModule(NFoldGaussianMechanism(paper_budget))
+        module.table.pin(Point(0, 0), [Point(1, 1)])
+        restored = self._roundtrip(module)
+        with pytest.raises(ValueError):
+            restored.table.pin(Point(10, 0), [Point(2, 2)])

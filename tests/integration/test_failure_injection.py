@@ -12,6 +12,8 @@ system either keeps its privacy guarantee or fails safe:
 * malformed inputs → loud errors, not silent corruption.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from repro.core.params import GeoIndBudget
 from repro.core.posterior import PosteriorSelector
 from repro.edge.obfuscation import ObfuscationModule
 from repro.geo.point import Point
-from repro.persist import table_from_json, table_to_json
 from repro.profiles.checkin import CheckIn
 
 BUDGET = GeoIndBudget(r=500.0, epsilon=1.0, delta=0.01, n=10)
@@ -55,10 +56,10 @@ class TestRestartWithPersistence:
             module.ensure_obfuscated([HOME])
             reports = serve_reports(module, selector, 300)
 
-            # --- restart: rebuild the module from the persisted table ---
-            snapshot = table_to_json(module.table)
+            # --- restart: rebuild the module from its persisted snapshot ---
+            snapshot = json.dumps(module.snapshot())
             module2 = ObfuscationModule(mechanism)
-            module2.table = table_from_json(snapshot)
+            module2.restore(json.loads(snapshot))
             reports += serve_reports(module2, selector, 300)
 
             # 600 observations, all drawn from the SAME 10 pinned points.
@@ -125,10 +126,6 @@ class TestMalformedInputsFailLoud:
         module.record(CheckIn(100.0, HOME))
         with pytest.raises(ValueError):
             module.record(CheckIn(50.0, HOME))
-
-    def test_corrupted_table_document_rejected(self):
-        with pytest.raises(ValueError):
-            table_from_json('{"kind": "trace", "checkins": []}')
 
     def test_nonfinite_budget_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Per-user actors: determinism, path selection, ledger accounting."""
 
+import json
 
 from repro.edge.clock import VirtualTimeSource
 from repro.edge.location_management import flush_trailing_windows
+from repro.fleet.checkpoint import CheckpointStore
 from repro.serve.actor import EdgeConfig, UserActor
 from repro.serve.events import ServeWorkloadConfig, build_schedule
 
@@ -115,6 +117,18 @@ class TestPinnedWeights:
         restored = UserActor.from_snapshot(
             restored.snapshot(), config=EdgeConfig(), time_source=VirtualTimeSource()
         )
+        assert self.serve(served, range(100, 130)) == self.serve(restored, range(100, 130))
+
+    def test_checkpoint_disk_mirror_restores(self, tmp_path):
+        served = make_actor()
+        self.serve(served, range(100))
+        assert served.obfuscation.table  # the mirror carries a pinned top
+        CheckpointStore(str(tmp_path)).put(served.user_index, served.snapshot())
+        (seat_file,) = tmp_path.glob("seat-*.json")
+        with open(seat_file, encoding="utf-8") as fh:
+            restored = UserActor.from_snapshot(
+                json.load(fh), config=EdgeConfig(), time_source=VirtualTimeSource()
+            )
         assert self.serve(served, range(100, 130)) == self.serve(restored, range(100, 130))
 
 
