@@ -4,22 +4,23 @@ Every bench regenerates one of the paper's tables/figures via its
 experiment driver, times it with pytest-benchmark, prints the rendered
 report, and archives it under ``benchmarks/results/`` so the numbers are
 inspectable after a quiet pytest run.  Alongside the human-readable
-``<id>.txt`` archive, each report also lands as machine-readable
-``BENCH_<id>.json`` carrying the wall-clock seconds, the worker count,
-the scale, and any per-stage timings the driver surfaced via
-``ExperimentReport.meta``.
+``<id>.txt`` archive, each report also lands as a machine-readable
+``BENCH_<id>.json`` record (:mod:`repro.obs.record`): the wall-clock
+seconds, plus the worker count, workload and per-stage timings the
+driver surfaced via ``ExperimentReport.meta``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
+import math
 import pathlib
+from typing import Optional
 
 import pytest
 
 from repro.experiments.config import ExperimentScale
 from repro.experiments.tables import ExperimentReport
+from repro.obs import record as bench_record
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -33,14 +34,15 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
-def _benchmark_wall_seconds(request) -> float:
-    """Wall-clock of the benchmarked call, when the test timed one."""
+def _benchmark_wall_seconds(request) -> Optional[float]:
+    """Wall-clock of the benchmarked call, or None when nothing was timed
+    (no ``benchmark`` fixture, or ``--benchmark-disable``)."""
     if "benchmark" not in request.fixturenames:
-        return float("nan")
+        return None
     stats = getattr(request.getfixturevalue("benchmark"), "stats", None)
     stats = getattr(stats, "stats", stats)
     mean = getattr(stats, "mean", None)
-    return float(mean) if mean is not None else float("nan")
+    return float(mean) if mean is not None and math.isfinite(mean) else None
 
 
 @pytest.fixture
@@ -51,19 +53,8 @@ def archive(results_dir, request):
         text = report.render()
         print("\n" + text)
         (results_dir / f"{report.experiment_id}.txt").write_text(text + "\n")
-        payload = {
-            "experiment_id": report.experiment_id,
-            "title": report.title,
-            "wall_seconds": _benchmark_wall_seconds(request),
-            "workers": report.meta.get("workers"),
-            "scale": dataclasses.asdict(BENCH),
-            "stage_seconds": report.meta.get("stage_seconds", {}),
-            "rows": report.rows,
-            "notes": report.notes,
-        }
-        (results_dir / f"BENCH_{report.experiment_id}.json").write_text(
-            json.dumps(payload, indent=2, default=str) + "\n"
-        )
+        record = bench_record.from_report(report, _benchmark_wall_seconds(request))
+        bench_record.write(record, results_dir / record.filename)
         return report
 
     return _archive

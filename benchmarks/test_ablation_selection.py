@@ -28,6 +28,7 @@ def _run_both() -> ExperimentReport:
         title="efficacy with and without posterior output selection",
         rows=rows,
         notes=["paper: the output selection module is what keeps efficacy high"],
+        meta={"workload": post.meta["workload"]},
     )
 
 

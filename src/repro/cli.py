@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bench-json",
         default=None,
         metavar="PATH",
-        help="write a BENCH_fleet payload (needs --baseline) to PATH",
+        help="write a BENCH_fleet record (needs --baseline) to PATH",
     )
 
     p_atk = sub.add_parser(
@@ -362,8 +362,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
+    from repro.obs import record as bench_record
     from repro.obs.render import render_prometheus
-    from repro.serve.harness import bench_payload, run_service
+    from repro.serve.harness import run_service
 
     seed = args.seed if args.seed is not None else 0
     qps = args.qps
@@ -392,21 +393,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fh.write(render_prometheus(report.metrics))
             fh.write("\n")
     if args.bench_json is not None:
-        with open(args.bench_json, "w", encoding="utf-8") as fh:
-            json.dump(
-                bench_payload(report.result, report.config),
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        bench_record.write(bench_record.serve_record(report), args.bench_json)
     return 0
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
-    from repro.fleet import bench_fleet_payload, run_fleet
+    from repro.fleet import run_fleet
+    from repro.obs import record as bench_record
 
     if args.bench_json is not None and not args.baseline:
         print(
@@ -444,14 +439,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 "processed": baseline.processed,
             }
             if args.bench_json is not None:
-                with open(args.bench_json, "w", encoding="utf-8") as fh:
-                    json.dump(
-                        bench_fleet_payload(report, baseline),
-                        fh,
-                        indent=2,
-                        sort_keys=True,
-                    )
-                    fh.write("\n")
+                bench_record.write(
+                    bench_record.fleet_record(report, baseline), args.bench_json
+                )
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0 if report.audit.ok else 1
 

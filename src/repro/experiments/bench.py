@@ -1,33 +1,29 @@
 """Benchmark harness for the experiment pipelines.
 
-Three jobs, all reachable through ``repro bench``:
+Two jobs, both reachable through ``repro bench``:
 
 * ``repro bench <experiment>`` — run a cache-aware experiment cold (cache
   cleared) and then warm (second run over the same cache), archive both
-  as ``BENCH_<id>_cache_cold.json`` / ``BENCH_<id>_cache_warm.json`` in
-  the same shape as the pytest-benchmark archives, and print the warm
-  speedup.  For the deterministic experiments the harness also asserts
-  the cold and warm rows are bit-identical.  The table2 workload takes
+  as ``BENCH_<id>_cache_cold.json`` / ``BENCH_<id>_cache_warm.json``
+  records (:mod:`repro.obs.record`), and print the warm speedup.  For
+  the deterministic experiments the harness also asserts the cold and
+  warm rows are bit-identical.  The table2 workload takes
   ``--tier small|city|metro-100k`` (named dataset tiers), ``--mode
   kernel|loop`` (population kernels vs the per-user reference path),
   ``--digest`` (attach the candidate sha256 — the worker-invariance
   witness; cold/warm digests must agree) and ``--trace`` (attach
   per-span timing summaries from ``repro.obs``); the bench id grows
   matching suffixes, e.g. ``BENCH_table2_city_kernel_cache_cold.json``.
-* ``repro bench shm`` — measure the worker payload transport: ship one
-  large heap array to a process pool and archive the bytes copied into
-  shared memory, the bytes pickled, and the wall clock.
 * ``repro bench --compare OLD.json NEW.json`` — regression gate: exits
   non-zero when NEW's wall clock (overall or any shared stage) regresses
-  more than ``--threshold`` (default 10 %) over OLD.
+  more than ``--threshold`` (default 10 %) over OLD.  Both archives are
+  read through :func:`repro.obs.record.load`; an archive of another
+  schema exits non-zero with a message.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
-import pickle
 import sys
 import time
 from pathlib import Path
@@ -37,7 +33,6 @@ import numpy as np
 
 from repro.data.cache import StageCache
 from repro.data.plane import DataPlaneConfig, add_data_plane_arguments
-from repro.data.tiers import TIERS
 from repro.experiments import (
     fig6_attack,
     fig7_mechanisms,
@@ -47,15 +42,15 @@ from repro.experiments import (
 )
 from repro.experiments.config import FULL, MEDIUM, SMALL, ExperimentScale
 from repro.experiments.tables import ExperimentReport
+from repro.obs import record as bench_record
 from repro.obs import trace as _trace
+from repro.obs.record import BenchRecord
 from repro.obs.rss import peak_rss_bytes
-from repro.parallel import export_payload, parallel_map_with_stats
 
 __all__ = [
     "main",
     "compare_benches",
     "run_cold_warm",
-    "run_shm_bench",
     "BENCH_RUNNERS",
     "DEFAULT_REGRESSION_THRESHOLD",
     "MIN_REGRESSION_SECONDS",
@@ -96,48 +91,6 @@ BENCH_RUNNERS: Dict[
 DETERMINISTIC_ROWS = frozenset({"fig6", "fig7", "fig9"})
 
 
-def _payload(
-    report: ExperimentReport,
-    bench_id: str,
-    wall_seconds: float,
-    scale: ExperimentScale,
-    spans: Optional[Dict[str, dict]] = None,
-) -> dict:
-    """One archive entry, same shape as ``benchmarks/conftest.py`` writes.
-
-    A table2 ``--tier`` run measures the tier's population, not the
-    scale preset's: its ``scale`` entry names the tier and the tier's
-    user count, and keeps only the seed from the preset.
-    """
-    tier = report.meta.get("tier")
-    scale_meta = (
-        dataclasses.asdict(scale)
-        if tier is None
-        else {"name": tier, "n_users": TIERS[tier].n_users, "seed": scale.seed}
-    )
-    out = {
-        "experiment_id": bench_id,
-        "title": report.title,
-        "wall_seconds": wall_seconds,
-        "workers": report.meta.get("workers"),
-        "scale": scale_meta,
-        "stage_seconds": report.meta.get("stage_seconds", {}),
-        "cache": report.meta.get("cache"),
-        "rows": report.rows,
-        "notes": report.notes,
-        # Process-lifetime high-water mark (parent or any reaped pool
-        # worker): the number that separates the out-of-core data plane
-        # from heap materialisation at the big tiers.
-        "peak_rss_bytes": peak_rss_bytes(include_children=True),
-    }
-    for key in ("mode", "tier", "mmap", "digest"):
-        if report.meta.get(key) is not None:
-            out[key] = report.meta[key]
-    if spans is not None:
-        out["spans"] = spans
-    return out
-
-
 def _summarise_spans(spans: List[dict]) -> Dict[str, dict]:
     """Aggregate raw span records to per-name count/total-seconds."""
     summary: Dict[str, dict] = {}
@@ -148,13 +101,6 @@ def _summarise_spans(spans: List[dict]) -> Dict[str, dict]:
     for entry in summary.values():
         entry["seconds"] = round(entry["seconds"], 6)
     return summary
-
-
-def _archive(payload: dict, results_dir: Path) -> Path:
-    results_dir.mkdir(parents=True, exist_ok=True)
-    path = results_dir / f"BENCH_{payload['experiment_id']}.json"
-    path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
-    return path
 
 
 def _timed_run(
@@ -186,10 +132,10 @@ def run_cold_warm(
     with_digest: bool = False,
     with_spans: bool = False,
     mmap: bool = False,
-) -> Tuple[dict, dict]:
+) -> Tuple[BenchRecord, BenchRecord]:
     """Run ``exp_id`` cold (cleared cache) then warm; archive both runs.
 
-    Returns the (cold, warm) archive payloads.  Raises ``RuntimeError``
+    Returns the (cold, warm) records.  Raises ``RuntimeError``
     if a deterministic experiment's warm rows differ from its cold rows —
     a cache hit must be indistinguishable from a recompute.
 
@@ -256,98 +202,34 @@ def run_cold_warm(
             f"{exp_id}: warm-cache candidate digest differs from cold — "
             "the cached tier is not bit-identical to its regeneration"
         )
-    cold = _payload(
-        cold_report, f"{bench_id}_cache_cold", cold_seconds, scale, cold_spans
+    # Process-lifetime high-water mark (parent or any reaped pool worker):
+    # the number that separates the out-of-core data plane from heap
+    # materialisation at the big tiers.
+    peak_rss = peak_rss_bytes(include_children=True)
+    cold = bench_record.from_report(
+        cold_report, cold_seconds, f"{bench_id}_cache_cold", cold_spans, peak_rss
     )
-    warm = _payload(
-        warm_report, f"{bench_id}_cache_warm", warm_seconds, scale, warm_spans
+    warm = bench_record.from_report(
+        warm_report, warm_seconds, f"{bench_id}_cache_warm", warm_spans, peak_rss
     )
     if results_dir is not None:
-        _archive(cold, results_dir)
-        _archive(warm, results_dir)
+        for record in (cold, warm):
+            bench_record.write(record, results_dir / record.filename)
     return cold, warm
 
 
-def _shm_probe_chunk(indices: List[int], rng: np.random.Generator, payload) -> list:
-    """Touch every shipped array so transport cost is actually paid."""
-    coords = payload["coords"]
-    return [float(coords[i % len(coords)].sum()) for i in indices]
-
-
-def run_shm_bench(
-    n_points: int = 500_000,
-    n_tasks: int = 64,
-    workers: int = 2,
-    results_dir: Optional[Path] = None,
-) -> dict:
-    """Ship one large heap array to a process pool and meter the transport.
-
-    The payload is deterministic (an ``arange`` grid), so the pooled
-    results must equal the serial ones; the archived metrics are the
-    bytes copied into shared memory (one copy, whatever the worker
-    count), the bytes pickled into the pool initializer, and the
-    fan-out's wall clock.
-    """
-    coords = np.arange(n_points * 2, dtype=np.float64).reshape(n_points, 2)
-    payload = {"coords": coords}
-    serial = parallel_map_with_stats(
-        _shm_probe_chunk, range(n_tasks), workers=1, seed=0, payload=payload
-    )[0]
-    start = time.perf_counter()
-    pooled, stats = parallel_map_with_stats(
-        _shm_probe_chunk, range(n_tasks), workers=workers, seed=0, payload=payload
-    )
-    wall_seconds = time.perf_counter() - start
-    if pooled != serial:
-        raise RuntimeError("pooled fan-out returned different results than serial")
-    result = {
-        "experiment_id": "shm_fanout",
-        "title": "worker payload transport: heap array shipped by path+offset",
-        "workers": workers,
-        "n_points": n_points,
-        "payload_nbytes": int(coords.nbytes),
-        "pool_used": stats.pool_used,
-        "wall_seconds": wall_seconds,
-        "shared_arrays": stats.shared_arrays,
-        "shared_bytes": stats.shared_bytes,
-        "pickled_payload_bytes": _exported_pickle_bytes(payload),
-        "notes": [
-            "identical results to the serial path (asserted)",
-            "the heap array is copied once into a shared-memory segment; "
-            "workers map its tmpfs path instead of unpickling a copy each",
-        ],
-    }
-    if results_dir is not None:
-        _archive(result, results_dir)
-    return result
-
-
-def _exported_pickle_bytes(payload: dict) -> int:
-    """Bytes the pool pickles once the large arrays ship as refs."""
-    exported, lease = export_payload(payload)
-    try:
-        return len(pickle.dumps(exported))
-    finally:
-        lease.release()
-
-
-def _gated_seconds(archive: dict) -> Dict[str, float]:
+def _gated_seconds(record: BenchRecord) -> Dict[str, float]:
     """The timings ``--compare`` gates, keyed by their report label.
 
     The wall clock, every ``stage_seconds`` entry and every span's
     ``seconds`` (the per-layer split); values that are not finite numbers
     are left out.
     """
-    timings: Dict[str, Any] = {"wall_seconds": archive.get("wall_seconds")}
-    stages = archive.get("stage_seconds")
-    if isinstance(stages, dict):
-        for stage in sorted(stages):
-            timings[f"stage {stage!r}"] = stages[stage]
-    spans = archive.get("spans")
-    if isinstance(spans, dict):
-        for name in sorted(spans):
-            if isinstance(spans[name], dict):
-                timings[f"span {name!r}"] = spans[name].get("seconds")
+    timings: Dict[str, Any] = {"wall_seconds": record.wall_seconds}
+    for stage, seconds in sorted(record.stage_seconds.items()):
+        timings[f"stage {stage!r}"] = seconds
+    for name, span in sorted((record.spans or {}).items()):
+        timings[f"span {name!r}"] = span.get("seconds")
     gated: Dict[str, float] = {}
     for label, value in timings.items():
         try:
@@ -359,21 +241,7 @@ def _gated_seconds(archive: dict) -> Dict[str, float]:
     return gated
 
 
-def _stage_regressions(
-    old: dict, new: dict, threshold: float, min_abs: float
-) -> List[str]:
-    old_seconds, new_seconds = _gated_seconds(old), _gated_seconds(new)
-    problems = []
-    for label, o in old_seconds.items():
-        n = new_seconds.get(label)
-        if n is None or not (n > o * (1.0 + threshold) and n - o > min_abs):
-            continue
-        growth = f"+{(n / o - 1.0) * 100.0:.1f}%" if o > 0 else "from zero"
-        problems.append(f"{label}: {o:.3f}s -> {n:.3f}s ({growth})")
-    return problems
-
-
-def stage_key_notes(old: dict, new: dict) -> List[str]:
+def stage_key_notes(old: BenchRecord, new: BenchRecord) -> List[str]:
     """Non-fatal notes about stage and span keys the gate could not compare.
 
     A stage-version bump (or a renamed span) silently drops keys out of
@@ -383,11 +251,8 @@ def stage_key_notes(old: dict, new: dict) -> List[str]:
     """
     notes: List[str] = []
     for field, noun in (("stage_seconds", "stages"), ("spans", "spans")):
-        old_keys = old.get(field) or {}
-        new_keys = new.get(field) or {}
-        if not isinstance(old_keys, dict) or not isinstance(new_keys, dict):
-            notes.append(f"{field} is not a mapping in one archive; {noun} not compared")
-            continue
+        old_keys = getattr(old, field) or {}
+        new_keys = getattr(new, field) or {}
         gone = sorted(set(old_keys) - set(new_keys))
         added = sorted(set(new_keys) - set(old_keys))
         if gone:
@@ -410,8 +275,8 @@ def stage_key_notes(old: dict, new: dict) -> List[str]:
 
 
 def compare_benches(
-    old: dict,
-    new: dict,
+    old: BenchRecord,
+    new: BenchRecord,
     threshold: float = DEFAULT_REGRESSION_THRESHOLD,
     min_abs_seconds: float = MIN_REGRESSION_SECONDS,
 ) -> List[str]:
@@ -423,14 +288,25 @@ def compare_benches(
     slower — the absolute floor keeps millisecond-scale stages from
     tripping the gate on scheduler noise.
     """
-    return _stage_regressions(old, new, threshold, min_abs_seconds)
+    old_seconds, new_seconds = _gated_seconds(old), _gated_seconds(new)
+    problems = []
+    for label, o in old_seconds.items():
+        n = new_seconds.get(label)
+        if n is None or not (n > o * (1.0 + threshold) and n - o > min_abs_seconds):
+            continue
+        growth = f"+{(n / o - 1.0) * 100.0:.1f}%" if o > 0 else "from zero"
+        problems.append(f"{label}: {o:.3f}s -> {n:.3f}s ({growth})")
+    return problems
 
 
 def _cmd_compare(old_path: str, new_path: str, threshold: float) -> int:
-    old = json.loads(Path(old_path).read_text())
-    new = json.loads(Path(new_path).read_text())
+    try:
+        old, new = bench_record.load(old_path), bench_record.load(new_path)
+    except ValueError as exc:
+        print(f"repro bench: error: {exc}", file=sys.stderr)
+        return 2
     problems = compare_benches(old, new, threshold)
-    label = f"{old.get('experiment_id', old_path)} -> {new.get('experiment_id', new_path)}"
+    label = f"{old.experiment_id} -> {new.experiment_id}"
     for note in stage_key_notes(old, new):
         print(f"note ({label}): {note}")
     if problems:
@@ -438,7 +314,7 @@ def _cmd_compare(old_path: str, new_path: str, threshold: float) -> int:
         for p in problems:
             print(f"  {p}")
         return 1
-    old_wall, new_wall = old.get("wall_seconds"), new.get("wall_seconds")
+    old_wall, new_wall = old.wall_seconds, new.wall_seconds
     if isinstance(old_wall, (int, float)) and isinstance(new_wall, (int, float)):
         print(f"ok ({label}): {old_wall:.3f}s -> {new_wall:.3f}s")
     else:
@@ -450,14 +326,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro bench`` / ``python -m repro.experiments.bench``."""
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="cache/transport benchmarks and the regression gate",
+        description="cache benchmarks and the regression gate",
     )
     parser.add_argument(
         "target",
         nargs="?",
-        choices=sorted(BENCH_RUNNERS) + ["shm"],
-        help="experiment to bench cold-then-warm, or 'shm' for the "
-        "payload-transport bench",
+        choices=sorted(BENCH_RUNNERS),
+        help="experiment to bench cold-then-warm",
     )
     parser.add_argument(
         "--compare",
@@ -505,24 +380,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.compare is not None:
         return _cmd_compare(args.compare[0], args.compare[1], args.threshold)
     if args.target is None:
-        parser.error("give an experiment/shm target or --compare OLD NEW")
+        parser.error("give an experiment target or --compare OLD NEW")
     try:
         plane = DataPlaneConfig.from_args(args)
     except ValueError as exc:
         parser.error(str(exc))
     if not plane.cache:
         parser.error("benches measure the stage cache; --no-cache is meaningless")
-
-    if args.target == "shm":
-        result = run_shm_bench(
-            workers=max(plane.workers or 1, 2), results_dir=args.results_dir
-        )
-        print(
-            f"shm fan-out: {result['shared_bytes']} bytes shared, "
-            f"{result['pickled_payload_bytes']} pickled, "
-            f"{result['wall_seconds']:.3f}s"
-        )
-        return 0
 
     cold, warm = run_cold_warm(
         args.target,
@@ -537,13 +401,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         with_spans=args.trace,
     )
     speedup = (
-        cold["wall_seconds"] / warm["wall_seconds"]
-        if warm["wall_seconds"] > 0
-        else float("inf")
+        cold.wall_seconds / warm.wall_seconds if warm.wall_seconds > 0 else float("inf")
     )
     print(
-        f"{args.target}: cold {cold['wall_seconds']:.3f}s, "
-        f"warm {warm['wall_seconds']:.3f}s ({speedup:.1f}x)"
+        f"{args.target}: cold {cold.wall_seconds:.3f}s, "
+        f"warm {warm.wall_seconds:.3f}s ({speedup:.1f}x)"
     )
     return 0
 

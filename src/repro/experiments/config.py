@@ -12,8 +12,12 @@ scale on demand.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Any, Dict, Optional
+
+from repro.data.tiers import TIERS
 
 __all__ = [
     "PAPER_DELTA",
@@ -56,6 +60,13 @@ class ExperimentScale:
     def __post_init__(self) -> None:
         if self.trials < 1 or self.n_users < 1 or self.mc_samples < 1:
             raise ValueError("scale parameters must be positive")
+
+    def workload(self, tier: Optional[str] = None) -> Dict[str, Any]:
+        """The BENCH ``workload`` of a run at this scale; a run over a
+        dataset ``tier`` names the tier and its user count instead."""
+        if tier is None:
+            return dataclasses.asdict(self)
+        return {"name": tier, "n_users": TIERS[tier].n_users, "seed": self.seed}
 
 
 #: Seconds-scale runs for tests and quick iteration.

@@ -149,4 +149,5 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentReport:
             "vulnerable users are the routine-heavy ones, so adaptive "
             "should approach all-permanent privacy at lower report cost",
         ],
+        meta={"workload": scale.workload()},
     )

@@ -41,4 +41,5 @@ def run(scale: ExperimentScale = SMALL) -> ExperimentReport:
             f"fraction with entropy < 2: {below2:.3f} (paper: 0.888)",
             "paper: entropy declines as check-ins grow (routine dominates)",
         ],
+        meta={"workload": scale.workload()},
     )

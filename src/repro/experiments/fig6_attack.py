@@ -341,6 +341,7 @@ def run(
         ],
         meta={
             "workers": workers,
+            "workload": scale.workload(tier),
             "tier": tier,
             "mmap": mmap if tier is not None else None,
             "stage_seconds": stage_seconds,

@@ -179,6 +179,7 @@ def run(
         ],
         meta={
             "workers": workers,
+            "workload": scale.workload(),
             "cache": cache.stats() if cache.enabled else None,
         },
     )

@@ -103,5 +103,5 @@ def run(
             "paper: min UR rises with n; eps=1.5 goes ~0.6 (n=1) to ~0.9 "
             "(n=10); eps=1 improves ~60% from n=1 to n=10",
         ],
-        meta={"workers": workers},
+        meta={"workers": workers, "workload": scale.workload()},
     )

@@ -168,6 +168,7 @@ def run(
         ],
         meta={
             "workers": workers,
+            "workload": scale.workload(),
             "cache": cache.stats() if cache.enabled else None,
         },
     )

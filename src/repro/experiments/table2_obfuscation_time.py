@@ -301,6 +301,7 @@ def run(
         ],
         meta={
             "workers": workers,
+            "workload": scale.workload(tier),
             "mode": mode,
             "tier": tier,
             "mmap": mmap if tier is not None else None,

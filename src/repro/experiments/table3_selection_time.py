@@ -121,6 +121,7 @@ def run(
         ],
         meta={
             "workers": workers,
+            "workload": scale.workload(),
             "stage_seconds": {str(t.size): t.seconds for t in timings},
             "cache": cache.stats() if cache is not None and cache.enabled else None,
         },

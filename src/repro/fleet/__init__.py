@@ -23,15 +23,15 @@ The pieces:
 * :mod:`repro.fleet.audit` — the fleet-wide privacy-ledger
   reconciliation (gauges == audit bitwise; lost budget surfaced, never
   silent);
-* :mod:`repro.fleet.harness` — ``run_fleet`` / ``BENCH_fleet`` glue for
-  the CLI, CI, and benchmarks.
+* :mod:`repro.fleet.harness` — ``run_fleet`` for the CLI, CI, and
+  benchmarks.
 
 See ``docs/fleet.md`` for the model and the replay guarantees.
 """
 
 from repro.fleet.audit import FleetAudit, audit_fleet
 from repro.fleet.checkpoint import CheckpointStore
-from repro.fleet.harness import bench_fleet_payload, resolve_scenario, run_fleet
+from repro.fleet.harness import resolve_scenario, run_fleet
 from repro.fleet.runtime import EventDisposition, FleetShardRuntime
 from repro.fleet.scenario import (
     BUILTIN_SCENARIOS,
@@ -61,7 +61,6 @@ __all__ = [
     "SlowShard",
     "UserHandoff",
     "audit_fleet",
-    "bench_fleet_payload",
     "builtin_scenario",
     "churn_scenario",
     "device_of",

@@ -1,13 +1,12 @@
-"""Run a scenario against the serve workload, report, emit bench rows.
+"""Run a scenario against the serve workload and report.
 
 The entry point :func:`run_fleet` resolves a scenario (a built-in name,
 a scenario file, or a :class:`~repro.fleet.scenario.Scenario` object),
 runs the same seeded serve workload under fault injection, and returns
 the :class:`~repro.serve.harness.ServiceReport` — so the fleet CLI, the
 fleet-smoke CI job, and the robustness benchmark all drive one code
-path.  :func:`bench_fleet_payload` reduces a faulted run and its
-no-fault baseline to the committed ``BENCH_fleet.json`` shape, pinning
-the churn p99 against the baseline p99 for the regression gate.
+path.  :func:`repro.obs.record.fleet_record` reduces a faulted run and
+its no-fault baseline to the committed ``BENCH_fleet.json`` record.
 
 Serve imports are deferred into the functions: the serve package itself
 imports :mod:`repro.fleet.scenario` (shard specs carry scenarios), so a
@@ -17,14 +16,14 @@ module-level import here would cycle through ``repro.fleet.__init__``.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro.fleet.scenario import BUILTIN_SCENARIOS, Scenario, builtin_scenario
 
 if TYPE_CHECKING:
     from repro.serve.harness import ServiceReport
 
-__all__ = ["bench_fleet_payload", "resolve_scenario", "run_fleet"]
+__all__ = ["resolve_scenario", "run_fleet"]
 
 
 def resolve_scenario(
@@ -90,67 +89,3 @@ def run_fleet(
         checkpoint_dir=checkpoint_dir,
         dispatch_timeout_s=dispatch_timeout_s,
     )
-
-
-def bench_fleet_payload(
-    faulted: "ServiceReport",
-    baseline: "ServiceReport",
-) -> Dict[str, Any]:
-    """A ``BENCH_fleet.json`` payload: churn SLOs pinned to the baseline.
-
-    ``stage_seconds`` carries both runs' pin quantiles plus their ratio,
-    so ``repro bench --compare`` trips when churn degrades the p99
-    relative to the no-fault baseline — not merely when wall time moves.
-    """
-    slo_f = faulted.slo
-    slo_b = baseline.slo
-    p99_ratio = (
-        slo_f["pin_p99_s"] / slo_b["pin_p99_s"] if slo_b["pin_p99_s"] > 0 else 0.0
-    )
-    scenario = faulted.config.scenario
-    counters = faulted.metrics.get("counters", {})
-    audit = faulted.audit
-    notes: List[str] = [
-        f"scenario={scenario.name if scenario else 'none'}",
-        f"backend={faulted.backend}",
-        f"shards={faulted.config.n_shards}",
-        f"replay={faulted.config.replay}",
-        f"pin_p99_ratio={p99_ratio:.3f}",
-        f"crashes={counters.get('fleet.crashes', 0)}",
-        f"handoffs={counters.get('fleet.handoffs', 0)}",
-        f"unserved={counters.get('fleet.unserved_events', 0)}",
-        f"audit_ok={audit.ok}",
-    ]
-    return {
-        "experiment_id": "fleet",
-        "title": "repro.fleet: serve under deterministic churn",
-        "wall_seconds": faulted.wall_seconds,
-        "workers": faulted.config.n_shards,
-        "scale": {
-            "name": "fleet-churn",
-            "n_users": faulted.config.workload.n_users,
-            "n_events": faulted.config.workload.n_events,
-            "n_campaigns": faulted.config.workload.n_campaigns,
-            "seed": faulted.config.workload.seed,
-            "scenario_hash": scenario.content_hash() if scenario else None,
-        },
-        "stage_seconds": {
-            "pin_p50": slo_f["pin_p50_s"],
-            "pin_p99": slo_f["pin_p99_s"],
-            "baseline_pin_p50": slo_b["pin_p50_s"],
-            "baseline_pin_p99": slo_b["pin_p99_s"],
-            "pin_p99_ratio": p99_ratio,
-        },
-        "cache": None,
-        "rows": [
-            {
-                "processed": faulted.processed,
-                "unserved": counters.get("fleet.unserved_events", 0),
-                "qps_achieved": slo_f["qps_achieved"],
-                "baseline_qps_achieved": slo_b["qps_achieved"],
-                "epsilon_spent": audit.gauge_epsilon,
-                "lost_epsilon": audit.lost_epsilon,
-            }
-        ],
-        "notes": notes,
-    }

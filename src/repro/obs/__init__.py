@@ -12,6 +12,9 @@ Three pieces, all off by default and costing one flag check when off:
 * **rendering** (:mod:`repro.obs.render`) — the ``repro obs`` summary
   table and a Prometheus-style text dump.
 
+Benchmark archives (``BENCH_*.json``) have one schema and one writer,
+:mod:`repro.obs.record`.
+
 Typical wiring (what ``--trace PATH`` does)::
 
     from repro import obs

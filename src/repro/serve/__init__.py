@@ -31,7 +31,6 @@ from repro.serve.events import (
 )
 from repro.serve.harness import (
     ServiceReport,
-    bench_payload,
     run_population,
     run_service,
     slo_report,
@@ -56,7 +55,6 @@ __all__ = [
     "TrafficSummary",
     "UserActor",
     "attack_egress",
-    "bench_payload",
     "build_schedule",
     "encode_response",
     "response_digest",

@@ -196,7 +196,6 @@ class UserActor:
         state: Dict[str, Any],
         config: EdgeConfig,
         time_source: Optional[TimeSource] = None,
-        ledger_max_epsilon: Optional[float] = None,
     ) -> "UserActor":
         """Rebuild an actor from :meth:`snapshot` output.
 
@@ -204,7 +203,8 @@ class UserActor:
         the shared RNG exactly as a fresh one would), then each module's
         durable state is overlaid.  Restoring the bit-generator state once
         covers the n-fold, nomadic, and selection streams because they
-        share the generator.  Ledger and accountant restoration bypass
+        share the generator.  The ledger, its epsilon cap included, comes
+        from the snapshot.  Ledger and accountant restoration bypass
         ``spend``/``observe``, so no budget gauge is ever re-emitted — a
         restore is free, only new releases are charged.
         """
@@ -214,7 +214,6 @@ class UserActor:
             seed=int(state["seed"]),
             config=config,
             time_source=time_source,
-            ledger_max_epsilon=ledger_max_epsilon,
             epoch=int(state.get("epoch", 0)),
         )
         actor.events_handled = int(state.get("events_handled", 0))

@@ -1,4 +1,4 @@
-"""The load harness: run the service, report SLOs, emit bench payloads.
+"""The load harness: run the service and report SLOs.
 
 This is the operational face of :mod:`repro.serve`: one call —
 :func:`run_service`, the documented programmatic entry point — builds
@@ -10,8 +10,9 @@ watches (throughput, p50/p99 pin latency from the additive-merge
 drop counts), and the fleet privacy audit
 (:class:`~repro.fleet.audit.FleetAudit`).  The ``repro serve`` and
 ``repro fleet`` CLI commands are thin wrappers over this function; the
-same reduction feeds the committed ``BENCH_serve.json`` consumed by
-``repro bench --compare``.  :func:`run_population` runs the same service
+same reduction feeds the committed ``BENCH_serve.json`` record
+(:func:`repro.obs.record.serve_record`) consumed by ``repro bench
+--compare``.  :func:`run_population` runs the same service
 over a synthetic population's traces — the ``repro simulate`` pipeline.
 """
 
@@ -34,7 +35,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ServiceReport",
-    "bench_payload",
     "run_population",
     "run_service",
     "slo_report",
@@ -279,53 +279,4 @@ def slo_report(result: ServeResult) -> Dict[str, Any]:
         "peak_rss_bytes": peak_rss_bytes(include_children=True),
         "response_digest": result.digest,
         "metrics_digest": result.metrics_digest(),
-    }
-
-
-def bench_payload(result: ServeResult, config: ServeConfig) -> Dict[str, Any]:
-    """A ``BENCH_serve.json`` payload for ``repro bench --compare``.
-
-    ``stage_seconds`` carries the latency quantiles so the regression
-    gate watches the SLOs, not just the wall clock.
-    """
-    report = slo_report(result)
-    notes: List[str] = [
-        f"backend={result.backend}",
-        f"shards={config.n_shards}",
-        f"replay={config.replay}",
-        f"qps_achieved={report['qps_achieved']:.0f}",
-        f"dropped={result.dropped}",
-    ]
-    return {
-        "experiment_id": "serve",
-        "title": "repro.serve: sharded streaming edge service",
-        "wall_seconds": result.wall_seconds,
-        "workers": config.n_shards,
-        "scale": {
-            "name": "serve-smoke",
-            "n_users": config.workload.n_users,
-            "n_events": config.workload.n_events,
-            "n_campaigns": config.workload.n_campaigns,
-            "seed": config.workload.seed,
-        },
-        "stage_seconds": {
-            "pin_p50": report["pin_p50_s"],
-            "pin_p99": report["pin_p99_s"],
-            "handle_p50": report["handle_p50_s"],
-            "handle_p99": report["handle_p99_s"],
-            "e2e_p50": report["e2e_p50_s"],
-            "e2e_p99": report["e2e_p99_s"],
-        },
-        "cache": None,
-        "rows": [
-            {
-                "processed": result.processed,
-                "enqueued": result.enqueued,
-                "dropped": result.dropped,
-                "qps_achieved": report["qps_achieved"],
-                "epsilon_spent": report["epsilon_spent"],
-                "delta_spent": report["delta_spent"],
-            }
-        ],
-        "notes": notes,
     }

@@ -172,10 +172,7 @@ class ShardState:
     def _revive(self, state: Dict[str, Any]) -> UserActor:
         """Rebuild an actor from a fleet snapshot, wired to this shard."""
         return UserActor.from_snapshot(
-            state,
-            config=self.spec.edge,
-            time_source=self.time_source,
-            ledger_max_epsilon=self.spec.ledger_max_epsilon,
+            state, config=self.spec.edge, time_source=self.time_source
         )
 
     def _handle_event(self, seq: int) -> Tuple[Optional[ServeResponse], List[Charge]]:

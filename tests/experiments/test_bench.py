@@ -1,29 +1,30 @@
 """The bench harness: cold/warm archives and the regression gate."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.data.tiers import TIERS
 from repro.experiments import table2_obfuscation_time
-from repro.experiments.bench import (
-    compare_benches,
-    main,
-    run_cold_warm,
-    run_shm_bench,
-)
+from repro.experiments.bench import compare_benches, main, run_cold_warm
 from repro.experiments.config import ExperimentScale
 from repro.experiments.tables import ExperimentReport
+from repro.obs import record as bench_record
+from repro.obs.record import BenchRecord
 
 TINY = ExperimentScale(name="tiny", trials=30, n_users=5, mc_samples=64)
 
 
 def _bench(wall, stages=None):
-    return {
-        "experiment_id": "x",
-        "wall_seconds": wall,
-        "stage_seconds": stages or {},
-    }
+    return BenchRecord(
+        experiment_id="x",
+        title="x",
+        wall_seconds=wall,
+        workers=None,
+        workload=None,
+        stage_seconds=stages or {},
+    )
 
 
 def _spans(seconds):
@@ -63,14 +64,14 @@ class TestCompare:
         assert compare_benches(old, new) == []
 
     def test_missing_wall_seconds_tolerated(self):
-        assert compare_benches({"stage_seconds": {}}, _bench(9.0)) == []
+        assert compare_benches(_bench(None), _bench(9.0)) == []
 
     def test_span_regression_flagged(self):
         """A layer that doubles fails the gate even when the wall clock and
         stages hold (e.g. profile got slower while pin got faster)."""
         spans = {"table2.profile": 3.0, "table2.pin": 0.7, "table2.eta": 0.05}
-        old = dict(_bench(3.0, {"10000": 0.6}), spans=_spans(spans))
-        new = dict(
+        old = replace(_bench(3.0, {"10000": 0.6}), spans=_spans(spans))
+        new = replace(
             _bench(3.0, {"10000": 0.6}),
             spans=_spans({**spans, "table2.profile": 6.0, "table2.pin": 0.1}),
         )
@@ -79,16 +80,14 @@ class TestCompare:
         assert "table2.profile" in problems[0]
 
     def test_span_floor_and_unshared_spans(self):
-        old = dict(_bench(1.0), spans=_spans({"tiny": 0.01, "only_old": 5.0}))
-        new = dict(_bench(1.0), spans=_spans({"tiny": 0.04, "only_new": 5.0}))
+        old = replace(_bench(1.0), spans=_spans({"tiny": 0.01, "only_old": 5.0}))
+        new = replace(_bench(1.0), spans=_spans({"tiny": 0.04, "only_new": 5.0}))
         assert compare_benches(old, new) == []
 
 
 class TestCompareCli:
-    def _write(self, tmp_path, name, payload):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
+    def _write(self, tmp_path, name, record):
+        return str(bench_record.write(record, tmp_path / name))
 
     def test_clean_compare_exits_zero(self, tmp_path, capsys):
         old = self._write(tmp_path, "old.json", _bench(1.0))
@@ -107,6 +106,16 @@ class TestCompareCli:
         new = self._write(tmp_path, "new.json", _bench(1.5))
         assert main(["--compare", old, new, "--threshold", "0.6"]) == 0
 
+    def test_schema_mismatch_exits_nonzero(self, tmp_path, capsys):
+        old = self._write(tmp_path, "old.json", _bench(1.0))
+        stale = _bench(1.0).to_dict()
+        stale["schema"] = 0
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps(stale))
+        assert main(["--compare", old, str(new)]) == 2
+        err = capsys.readouterr().err
+        assert "schema 0" in err and str(new) in err
+
 
 class TestColdWarm:
     def test_fig9_cold_warm_archives(self, tmp_path):
@@ -117,15 +126,13 @@ class TestColdWarm:
             cache_dir=tmp_path / "cache",
             results_dir=tmp_path / "results",
         )
-        assert cold["rows"] == warm["rows"]
-        assert warm["cache"]["hits"] > 0
-        assert warm["cache"]["stores"] == 0
+        assert cold.rows == warm.rows
+        assert warm.cache["hits"] > 0
+        assert warm.cache["stores"] == 0
         assert (tmp_path / "results" / "BENCH_fig9_cache_cold.json").is_file()
-        archived = json.loads(
-            (tmp_path / "results" / "BENCH_fig9_cache_warm.json").read_text()
-        )
-        assert archived["experiment_id"] == "fig9_cache_warm"
-        assert archived["scale"]["name"] == "tiny"
+        archived = bench_record.load(tmp_path / "results" / "BENCH_fig9_cache_warm.json")
+        assert archived.experiment_id == "fig9_cache_warm"
+        assert archived.workload == TINY.workload()
 
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -133,8 +140,11 @@ class TestColdWarm:
 
     def test_tier_run_archives_the_tier_as_its_scale(self, tmp_path, monkeypatch):
         def fake_run(scale, **kwargs):
+            tier = kwargs["tier"]
             return ExperimentReport(
-                "table2", "t", meta={"tier": kwargs["tier"], "mode": "kernel"}
+                "table2",
+                "t",
+                meta={"workload": scale.workload(tier), "tier": tier, "mode": "kernel"},
             )
 
         monkeypatch.setattr(table2_obfuscation_time, "run", fake_run)
@@ -142,20 +152,9 @@ class TestColdWarm:
             "table2", TINY, tier="city", mode="kernel", cache_dir=tmp_path
         )
         expected = {"name": "city", "n_users": TIERS["city"].n_users, "seed": TINY.seed}
-        assert cold["scale"] == warm["scale"] == expected
-        assert warm["experiment_id"] == "table2_city_kernel_cache_warm"
-
-
-class TestShmBench:
-    def test_transport_metrics(self, tmp_path):
-        result = run_shm_bench(
-            n_points=40_000, n_tasks=8, workers=2, results_dir=tmp_path
-        )
-        assert result["pickled_payload_bytes"] < 4096
-        if result["pool_used"]:
-            assert result["shared_arrays"] == 1
-            assert result["shared_bytes"] == result["payload_nbytes"]
-        assert (tmp_path / "BENCH_shm_fanout.json").is_file()
+        assert cold.workload == warm.workload == expected
+        assert (warm.tier, warm.mode) == ("city", "kernel")
+        assert warm.experiment_id == "table2_city_kernel_cache_warm"
 
 
 class TestStageKeyNotes:
@@ -179,8 +178,8 @@ class TestStageKeyNotes:
     def test_renamed_spans_reported(self):
         from repro.experiments.bench import stage_key_notes
 
-        old = dict(_bench(1.0), spans=_spans({"table2.profile": 1.0}))
-        new = dict(_bench(1.0), spans=_spans({"table2.profiles": 1.0}))
+        old = replace(_bench(1.0), spans=_spans({"table2.profile": 1.0}))
+        new = replace(_bench(1.0), spans=_spans({"table2.profiles": 1.0}))
         notes = stage_key_notes(old, new)
         assert len(notes) == 2
         assert "spans only in OLD" in notes[0] and "'table2.profile'" in notes[0]
@@ -197,8 +196,8 @@ class TestStageKeyNotes:
     def test_compare_cli_prints_notes_without_failing(self, tmp_path, capsys):
         old_path = tmp_path / "old.json"
         new_path = tmp_path / "new.json"
-        old_path.write_text(json.dumps(_bench(1.0, {"stage.v1": 1.0})))
-        new_path.write_text(json.dumps(_bench(1.0, {"stage.v2": 1.0})))
+        bench_record.write(_bench(1.0, {"stage.v1": 1.0}), old_path)
+        bench_record.write(_bench(1.0, {"stage.v2": 1.0}), new_path)
         assert main(["--compare", str(old_path), str(new_path)]) == 0
         out = capsys.readouterr().out
         assert "stage.v1" in out and "stage.v2" in out

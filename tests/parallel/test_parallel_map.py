@@ -32,6 +32,12 @@ def _add_payload(chunk, rng, payload):
     return [x + payload for x in chunk]
 
 
+def _row_sums(chunk, rng, payload):
+    """Touch the shipped array, so the worker really maps it."""
+    coords = payload["coords"]
+    return [float(coords[i % len(coords)].sum()) for i in chunk]
+
+
 def _wrong_length(chunk, rng):
     return [0]
 
@@ -185,6 +191,22 @@ class TestStats:
             _double, range(4), workers=4, chunk_size=100
         )
         assert not stats.pool_used
+
+    def test_heap_array_ships_as_one_shared_copy(self):
+        """A payload array above the ref threshold crosses to the pool once."""
+        arr = np.arange(40_000 * 2, dtype=np.float64).reshape(-1, 2)
+        assert arr.nbytes >= 256 * 1024
+        payload = {"coords": arr}
+        serial, _ = parallel_map_with_stats(
+            _row_sums, range(8), workers=1, seed=0, payload=payload, chunk_size=2
+        )
+        pooled, stats = parallel_map_with_stats(
+            _row_sums, range(8), workers=2, seed=0, payload=payload, chunk_size=2
+        )
+        assert stats.pool_used
+        assert stats.shared_arrays == 1
+        assert stats.shared_bytes == arr.nbytes
+        assert pooled == serial
 
 
 @pytest.mark.skipif(

@@ -141,3 +141,10 @@ class TestLedgerCap:
         ]
         assert actor.ledger.spends == 0  # the pin was refused ...
         assert all(p == "nomadic" for p in paths)  # ... service continued
+
+    def test_cap_restores_from_the_snapshot(self):
+        actor = make_actor(ledger_max_epsilon=2.0)
+        restored = UserActor.from_snapshot(
+            actor.snapshot(), config=EdgeConfig(), time_source=VirtualTimeSource()
+        )
+        assert restored.ledger.max_epsilon == 2.0

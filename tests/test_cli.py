@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import record as bench_record
 
 
 class TestParser:
@@ -87,9 +88,10 @@ class TestServeCommand:
         prom_text = prom.read_text()
         assert "serve_events_total" in prom_text
         assert "privacy_epsilon_spent" in prom_text
-        payload = json.loads(bench.read_text())
-        assert payload["experiment_id"] == "serve"
-        assert payload["wall_seconds"] > 0
+        record = bench_record.load(bench)
+        assert record.experiment_id == "serve"
+        assert record.wall_seconds > 0
+        assert record.workload["n_events"] == 120
 
     def test_duration_sizes_workload_from_qps(self, capsys):
         code = main(
@@ -101,6 +103,24 @@ class TestServeCommand:
 
         report = json.loads(capsys.readouterr().out)
         assert report["processed"] == 100
+
+
+class TestFleetCommand:
+    def test_baseline_run_writes_the_fleet_record(self, capsys, tmp_path):
+        bench = tmp_path / "BENCH_fleet.json"
+        code = main(
+            ["fleet", "run", "churn10", "--inline", "--users", "6",
+             "--campaigns", "30", "--duration-events", "120",
+             "--baseline", "--bench-json", str(bench)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        record = bench_record.load(bench)
+        assert record.experiment_id == "fleet"
+        assert record.workload["scenario_hash"]
+        assert record.workload["n_events"] == 120
+        assert record.stage_seconds["pin_p99_ratio"] >= 0.0
+        assert "audit_ok=True" in record.notes
 
 
 class TestVerifyCommand:
