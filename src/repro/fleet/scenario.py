@@ -128,8 +128,8 @@ class NetworkPartition:
 class NetworkHeal:
     """The partition on ``shard % n_shards`` heals before event ``at``.
 
-    A degraded process backend re-spawns its worker from the current
-    inline checkpoint and rejoins; an inline run just counts the event.
+    A degraded process backend forks a new worker that adopts the live
+    inline shard and rejoins; an inline run just counts the event.
     """
 
     at: int

@@ -8,8 +8,9 @@ each consumer drains its queue in batches into the shard backend:
 
 * **process backend** — one single-worker ``ProcessPoolExecutor`` per
   shard (single-worker so the shard's actors live in exactly one
-  process), initialised once with the shard spec and the shared-memory
-  schedule payload;
+  process), forked (the backend requires the fork start method) and
+  initialised once with the shard spec and the shared-memory schedule
+  payload.  A heal forks a worker that adopts the live inline shard;
 * **inline fallback** — sandboxes without fork/semaphores run the shard
   states in the parent process.  Batches execute inline (not in
   threads): :func:`repro.obs.trace.collect` swaps a process-global
@@ -33,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import multiprocessing
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -60,17 +62,27 @@ from repro.serve.shard import (
     Charge,
     ShardSpec,
     ShardState,
+    _adopt_shard,
     _checkpoint_shard,
     _finalize_shard,
     _init_shard,
     _process_batch,
-    _restore_shard,
 )
 
 __all__ = ["ServeConfig", "ServeResult", "ServeService"]
 
 #: Exceptions that mean "this sandbox cannot run worker processes".
 _POOL_UNAVAILABLE = (OSError, PermissionError, NotImplementedError, ImportError)
+
+
+def _fork_worker(initializer: Any, *initargs: Any) -> ProcessPoolExecutor:
+    """A one-worker pool forked from this process, inheriting ``initargs``."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise NotImplementedError("the process backend needs the fork start method")
+    fork = multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(
+        max_workers=1, mp_context=fork, initializer=initializer, initargs=initargs
+    )
 
 
 @dataclass(frozen=True)
@@ -152,8 +164,10 @@ class ServeResult:
     """Everything one service run produced, ready for report or assert."""
 
     digest: str
-    responses: List[ServeResponse]
-    metrics: Snapshot
+    #: Out of the repr: at exit asyncio formats the main task's result
+    #: into an error message, and these run to megabytes.
+    responses: List[ServeResponse] = field(repr=False)
+    metrics: Snapshot = field(repr=False)
     #: Ledger-entry sums accumulated through the gauges' float-op order;
     #: ``metrics["gauges"]["privacy.epsilon_spent"] == audit_epsilon``
     #: holds exactly.
@@ -187,7 +201,9 @@ class _ShardBackend:
     fresh inline state (discarding the replayed outputs, which were
     already accounted upstream), and continue inline.  A planned
     :class:`~repro.fleet.scenario.NetworkPartition` takes the cheaper
-    path: checkpoint the worker's state and restore it inline.
+    path: checkpoint the worker's state and restore it inline.  The
+    matching heal forks a new worker that adopts that inline state as
+    it stands (see :meth:`ServeService._rejoin`).
     """
 
     def __init__(
@@ -223,14 +239,6 @@ class _ShardBackend:
         assert self.state is not None
         return self.state.finalize()
 
-    async def checkpoint(self) -> Dict[str, Any]:
-        """The shard's durable state, from wherever it currently runs."""
-        if self.executor is not None:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self.executor, _checkpoint_shard)
-        assert self.state is not None
-        return self.state.checkpoint()
-
     def rebuild_inline(self) -> None:
         """Event-sourced recovery: fresh inline state, history replayed."""
         if self.executor is not None:
@@ -242,15 +250,18 @@ class _ShardBackend:
         self.state = state
         self.degraded = True
 
-    def degrade_from_checkpoint(self, checkpoint: Dict[str, Any]) -> None:
-        """Planned partition: continue inline from the worker's checkpoint."""
+    async def partition(self) -> None:
+        """Planned partition: continue inline from the shard's checkpoint."""
         if self.executor is not None:
+            loop = asyncio.get_running_loop()
+            checkpoint = await loop.run_in_executor(self.executor, _checkpoint_shard)
             self.executor.shutdown(wait=True)
             self.executor = None
             self.degraded = True
-        self.state = ShardState.from_checkpoint(
-            self.spec, self.schedule, checkpoint
-        )
+        else:
+            assert self.state is not None
+            checkpoint = self.state.checkpoint()
+        self.state = ShardState.from_checkpoint(self.spec, self.schedule, checkpoint)
 
 
 class ServeService:
@@ -272,9 +283,6 @@ class ServeService:
             else []
         )
         self._net_applied: Set[int] = set()
-        #: Stashed by :meth:`_build_backends` (process mode) so a
-        #:  heal-rejoin can hand the schedule payload to a new worker.
-        self._exported: Optional[Dict[str, Any]] = None
 
     def run(self) -> ServeResult:
         """Ingest the whole schedule, drain, and return the fleet result."""
@@ -296,11 +304,7 @@ class ServeService:
             executors: List[ProcessPoolExecutor] = []
             try:
                 for spec in specs:
-                    pool = ProcessPoolExecutor(
-                        max_workers=1,
-                        initializer=_init_shard,
-                        initargs=(spec, exported),
-                    )
+                    pool = _fork_worker(_init_shard, spec, exported)
                     # Force the worker (and its initializer) to start now,
                     # so sandbox failures surface here, not mid-stream.
                     pool.submit(_process_batch, []).result()
@@ -309,7 +313,6 @@ class ServeService:
                     _ShardBackend(spec, self.schedule, pool)
                     for spec, pool in zip(specs, executors)
                 ]
-                self._exported = exported
                 return backends, lease, "process"
             except _POOL_UNAVAILABLE + (BrokenExecutor,):
                 for pool in executors:
@@ -449,7 +452,7 @@ class ServeService:
             self._net_applied.add(position)
             if isinstance(event, NetworkPartition):
                 parent.counter(FLEET_PARTITIONS).inc()
-                backend.degrade_from_checkpoint(await backend.checkpoint())
+                await backend.partition()
             elif isinstance(event, NetworkHeal):
                 parent.counter(FLEET_HEALS).inc()
                 await self._rejoin(backend, parent)
@@ -457,18 +460,16 @@ class ServeService:
     async def _rejoin(
         self, backend: _ShardBackend, parent: MetricsRegistry
     ) -> None:
-        """Heal: try to hand the inline state back to a fresh worker."""
-        if not backend.degraded or self._exported is None:
+        """Heal: fork a worker that adopts the live inline shard as it is.
+
+        Nothing is checkpointed, pickled or restored, so the worker resumes
+        bit-identically by construction; a failed fork leaves it inline.
+        """
+        if not backend.degraded or not self.config.use_processes:
             return
-        assert backend.state is not None
-        checkpoint = backend.state.checkpoint()
         loop = asyncio.get_running_loop()
         try:
-            pool = ProcessPoolExecutor(
-                max_workers=1,
-                initializer=_restore_shard,
-                initargs=(backend.spec, self._exported, checkpoint),
-            )
+            pool = _fork_worker(_adopt_shard, backend.state)
             # Probe now so a failed spawn keeps us inline, not mid-batch.
             await loop.run_in_executor(pool, _process_batch, [])
         except _POOL_UNAVAILABLE + (BrokenExecutor,):

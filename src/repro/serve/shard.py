@@ -3,11 +3,11 @@
 A shard owns every :class:`~repro.serve.actor.UserActor` whose user id
 hashes to it (:func:`~repro.serve.events.shard_of_user`) and processes
 that subset of the event stream strictly in arrival order.  The same
-:class:`ShardState` runs in three places — a dedicated worker process
-(the production layout, one single-worker executor per shard so actor
-affinity is guaranteed), an executor thread, or inline in the parent —
-and produces bit-identical replay results in all three because nothing
-it computes depends on wall time or process identity.
+:class:`ShardState` runs in a dedicated worker process (the production
+layout, one single-worker executor per shard so actor affinity is
+guaranteed) or inline in the parent, which a heal forks into a new
+worker as it stands, and produces bit-identical replay results in both
+because nothing it computes depends on wall time or process identity.
 
 Observability is captured with :func:`repro.obs.trace.collect`, which
 swaps in a fresh registry, so shard workers meter unconditionally and
@@ -24,6 +24,7 @@ the service merges the buffered snapshots parent-side:
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -342,8 +343,8 @@ class ShardState:
         """Rebuild a shard from :meth:`checkpoint` output.
 
         The restored shard resumes the virtual timeline (``seek``) and
-        every actor's RNG stream exactly, so a partition-degrade (or a
-        heal-rejoin) in replay mode leaves both digests untouched.
+        every actor's RNG stream exactly, so a partition-degrade in replay
+        mode leaves both digests untouched.
         """
         state = cls(spec, schedule)
         ticks = checkpoint.get("virtual_ticks")
@@ -359,46 +360,41 @@ class ShardState:
 
 # ---------------------------------------------------------------------------
 # Process-backend entry points.  One single-worker ProcessPoolExecutor per
-# shard calls _init_shard once (via its initializer) and then submits
-# _process_batch/_finalize_shard; the module-global state is safe because
-# the executor has exactly one worker.
+# shard, forked from the service, runs one initializer (_init_shard at
+# start, _adopt_shard at heal-rejoin) and then serves _process_batch and
+# _finalize_shard; the module-global state is safe because the executor has
+# exactly one worker.  Each initializer first freezes the inherited heap, so
+# the worker's collector walks only what the worker allocates.
 # ---------------------------------------------------------------------------
 
-_SHARD_STATE: Optional[ShardState] = None
+_SHARD_STATE: ShardState
 
 
 def _init_shard(spec: ShardSpec, payload: Dict[str, Any]) -> None:
     """Worker initializer: import the (possibly shm-backed) schedule."""
     global _SHARD_STATE
+    gc.freeze()
     schedule = EventSchedule.from_payload(import_payload(payload))
     _SHARD_STATE = ShardState(spec, schedule)
 
 
+def _adopt_shard(state: ShardState) -> None:
+    """Worker initializer for heal-rejoin: serve the inherited inline shard."""
+    global _SHARD_STATE
+    gc.freeze()
+    _SHARD_STATE = state
+
+
 def _process_batch(batch: List[int]) -> BatchResult:
     """Serve one batch in the worker's shard state."""
-    if _SHARD_STATE is None:
-        raise RuntimeError("shard worker used before _init_shard")
     return _SHARD_STATE.process(batch)
 
 
 def _finalize_shard() -> List[ActorFinalize]:
     """Drain the worker's actors for graceful shutdown."""
-    if _SHARD_STATE is None:
-        raise RuntimeError("shard worker used before _init_shard")
     return _SHARD_STATE.finalize()
 
 
 def _checkpoint_shard() -> Dict[str, Any]:
     """Snapshot the worker's shard state (partition-degrade path)."""
-    if _SHARD_STATE is None:
-        raise RuntimeError("shard worker used before _init_shard")
     return _SHARD_STATE.checkpoint()
-
-
-def _restore_shard(
-    spec: ShardSpec, payload: Dict[str, Any], checkpoint: Dict[str, Any]
-) -> None:
-    """Worker initializer for heal-rejoin: resume from a checkpoint."""
-    global _SHARD_STATE
-    schedule = EventSchedule.from_payload(import_payload(payload))
-    _SHARD_STATE = ShardState.from_checkpoint(spec, schedule, checkpoint)

@@ -10,6 +10,7 @@ These are the service's headline invariants (see docs/serving.md):
 
 import pytest
 
+from repro.serve.egress import ServeResponse
 from repro.serve.events import ServeWorkloadConfig, build_schedule
 from repro.serve.harness import run_service
 from repro.serve.service import ServeConfig, ServeService
@@ -101,3 +102,21 @@ class TestScheduleInjection:
         a = ServeService(config, schedule=schedule).run()
         b = ServeService(config).run()
         assert a.digest == b.digest
+
+
+class TestResultRepr:
+    def test_run_never_formats_the_responses(self, monkeypatch):
+        # At exit asyncio formats the main task's result into an error
+        # message (SIGINT handler bookkeeping); reprlib swallows a raising
+        # __repr__, so count the calls instead of waiting for the raise.
+        calls = []
+
+        def refuse(self):
+            calls.append(self.seq)
+            raise AssertionError("ServeResponse was formatted")
+
+        monkeypatch.setattr(ServeResponse, "__repr__", refuse)
+        result = replay(1)
+        assert result.processed == WORKLOAD["n_events"]
+        assert calls == []
+        assert "responses" not in repr(result)
