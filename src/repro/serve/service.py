@@ -20,13 +20,17 @@ Shutdown is a drain, not an abort: the producer closes every queue, the
 consumers finish whatever is buffered, and every actor flushes its
 trailing profile window before the fleet snapshot is taken.
 
-The fleet metrics snapshot is assembled parent-side in a canonical
-order — per-event observations in global ``seq`` order (replay), then
-per-actor finalize observations in ``user_index`` order, then the
-parent's own ingress/latency metrics — and the epsilon/delta audit
-accumulates the underlying ledger entries through the *same* float
-operation sequence the gauges took, so ``privacy.epsilon_spent ==
-audit_epsilon`` holds bitwise, at any shard count.
+The fleet metrics snapshot is folded parent-side as each batch result
+arrives, not buffered until the drain.  In replay the per-event
+snapshots fold in global ``seq`` order: an arrival ahead of the fold's
+cursor waits in a reassembly buffer, which therefore holds only
+out-of-order arrivals.  Live mode folds each batch's snapshot in arrival
+order.  After the drain come the per-actor finalize snapshots in
+``user_index`` order, then the parent's own ingress/latency metrics.
+The epsilon/delta audit folds the underlying ledger entries at the same
+step as their snapshot, through the *same* float operation sequence the
+gauges took, so ``privacy.epsilon_spent == audit_epsilon`` holds
+bitwise, at any shard count.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import multiprocessing
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.edge.clock import DEFAULT_VIRTUAL_TICK
 from repro.fleet.scenario import NetworkHeal, NetworkPartition, Scenario
@@ -189,6 +193,67 @@ class ServeResult:
         """SHA-256 of the canonical JSON of the fleet metrics snapshot."""
         canon = json.dumps(self.metrics, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+class _Fold:
+    """The fleet metrics and ledger audit, folded as batch results arrive.
+
+    Replay folds per-event snapshots in global ``seq`` order, so the
+    merged floats associate identically at any shard count; an arrival
+    ahead of ``cursor`` waits in ``ahead`` until the events before it
+    have folded.  Live mode folds each batch's one snapshot on arrival.
+
+    The audit mirrors the gauges' exact float-op order: each snapshot's
+    charges fold into a partial sum first (that is how the collected
+    registry accumulated the gauge), then the partial folds into the
+    running total (that is how ``merge`` adds snapshot gauge values) —
+    so gauge == audit holds bitwise.
+    """
+
+    def __init__(self, replay: bool, n_shards: int) -> None:
+        self.replay = replay
+        self.registry = MetricsRegistry()
+        self.audit_epsilon = 0.0
+        self.audit_delta = 0.0
+        self.responses: List[ServeResponse] = []
+        self.batches = [0] * n_shards
+        self.cursor = 0
+        self.ahead: Dict[int, Tuple[Snapshot, List[Charge]]] = {}
+
+    def add(self, snapshot: Snapshot, charges: Iterable[Charge]) -> None:
+        """Merge one snapshot and fold its charges as one partial sum."""
+        self.registry.merge(snapshot)
+        part_eps = 0.0
+        part_delta = 0.0
+        for eps, delta in charges:
+            part_eps += eps
+            part_delta += delta
+        self.audit_epsilon += part_eps
+        self.audit_delta += part_delta
+
+    def batch(self, result: BatchResult) -> None:
+        """Fold one shard's batch result, as far as ``seq`` order allows."""
+        self.responses.extend(result.responses)
+        self.batches[result.shard_id] += 1
+        if not self.replay:
+            ((_, snapshot),) = result.observations
+            self.add(snapshot, (c for _, charged in result.charges for c in charged))
+            return
+        for (seq, snapshot), (_, charged) in zip(result.observations, result.charges):
+            if seq < self.cursor or seq in self.ahead:
+                raise RuntimeError(f"event {seq} arrived twice")
+            self.ahead[seq] = (snapshot, charged)
+        while self.cursor in self.ahead:
+            self.add(*self.ahead.pop(self.cursor))
+            self.cursor += 1
+
+    def drain(self, n_events: int) -> None:
+        """Raise unless every replayed event folded exactly once."""
+        if self.replay and (self.cursor != n_events or self.ahead):
+            raise RuntimeError(
+                f"replay fold stopped at event {self.cursor} of {n_events} "
+                f"with {len(self.ahead)} later events unfolded"
+            )
 
 
 class _ShardBackend:
@@ -364,7 +429,7 @@ class ServeService:
         shard_id: int,
         queue: BoundedIngressQueue,
         backend: _ShardBackend,
-        batches: List[BatchResult],
+        fold: _Fold,
         enqueue_times: Dict[int, float],
         e2e: Optional[MetricsRegistry],
         parent: MetricsRegistry,
@@ -382,8 +447,7 @@ class ServeService:
                 await self._apply_network_events(shard_id, backend, None, parent)
                 return
             await self._apply_network_events(shard_id, backend, batch[0], parent)
-            result = await self._dispatch(backend, batch, parent)
-            batches.append(result)
+            fold.batch(await self._dispatch(backend, batch, parent))
             if e2e is not None:
                 done = time.perf_counter()
                 for seq in batch:
@@ -464,16 +528,22 @@ class ServeService:
 
         Nothing is checkpointed, pickled or restored, so the worker resumes
         bit-identically by construction; a failed fork leaves it inline.
+        The state reaches the worker through a one-slot holder, emptied
+        once the worker has forked, so the executor's ``initargs`` do not
+        keep the parent's copy alive.
         """
         if not backend.degraded or not self.config.use_processes:
             return
         loop = asyncio.get_running_loop()
+        holder = [backend.state]
         try:
-            pool = _fork_worker(_adopt_shard, backend.state)
+            pool = _fork_worker(_adopt_shard, holder)
             # Probe now so a failed spawn keeps us inline, not mid-batch.
             await loop.run_in_executor(pool, _process_batch, [])
         except _POOL_UNAVAILABLE + (BrokenExecutor,):
             return
+        finally:
+            holder.clear()
         backend.executor = pool
         backend.state = None
         backend.degraded = False
@@ -484,20 +554,16 @@ class ServeService:
         cfg = self.config
         backends, lease, backend_kind = self._build_backends()
         queues = [BoundedIngressQueue(cfg.queue_capacity) for _ in backends]
-        per_shard_batches: List[List[BatchResult]] = [[] for _ in backends]
+        fold = _Fold(cfg.replay, len(backends))
         enqueue_times: Dict[int, float] = {}
         parent = MetricsRegistry()
         e2e = None if cfg.replay else parent
         try:
             consumers = [
                 asyncio.ensure_future(
-                    self._consume(
-                        shard_id, q, b, out, enqueue_times, e2e, parent
-                    )
+                    self._consume(shard_id, q, b, fold, enqueue_times, e2e, parent)
                 )
-                for shard_id, (q, b, out) in enumerate(
-                    zip(queues, backends, per_shard_batches)
-                )
+                for shard_id, (q, b) in enumerate(zip(queues, backends))
             ]
             await self._produce(queues, enqueue_times)
             await asyncio.gather(*consumers)
@@ -508,93 +574,34 @@ class ServeService:
                     backend.executor.shutdown(wait=True)
             if lease is not None:
                 lease.release()
-        return self._assemble(
-            queues, per_shard_batches, finalizes, parent, backend_kind
-        )
+        return self._assemble(queues, fold, finalizes, parent, backend_kind)
 
     # -- accounting --------------------------------------------------------
 
     def _assemble(
         self,
         queues: List[BoundedIngressQueue],
-        per_shard_batches: List[List[BatchResult]],
+        fold: _Fold,
         finalizes: List[List[ActorFinalize]],
         parent: MetricsRegistry,
         backend_kind: str,
     ) -> ServeResult:
-        """Merge shard results into the canonical fleet-wide view."""
-        cfg = self.config
-        responses: List[ServeResponse] = []
-        event_obs: List[Tuple[int, Snapshot]] = []
-        event_charges: List[Tuple[int, List[Charge]]] = []
-        for shard_batches in per_shard_batches:
-            for batch in shard_batches:
-                responses.extend(batch.responses)
-                event_obs.extend(batch.observations)
-                event_charges.extend(batch.charges)
+        """Close the fold: finalizes in ``user_index`` order, then the parent."""
+        fold.drain(len(self.schedule))
+        responses = fold.responses
         responses.sort(key=lambda r: r.seq)
-        if cfg.replay:
-            # Canonical order: per-event snapshots by global seq, so the
-            # merged floats associate identically at any shard count.
-            event_obs.sort(key=lambda pair: pair[0])
-            event_charges.sort(key=lambda pair: pair[0])
-
         actor_finalizes = sorted(
             (af for per_shard in finalizes for af in per_shard),
             key=lambda af: af.user_index,
         )
-
-        # The audit mirrors the gauges' exact float-op order: each
-        # collected snapshot's charges fold into a partial sum first
-        # (that is how the collected registry accumulated the gauge),
-        # then the partial folds into the running total (that is how
-        # merge() adds snapshot gauge values) — so gauge == audit holds
-        # bitwise.
-        merged = MetricsRegistry()
-        audit_eps = 0.0
-        audit_delta = 0.0
-        if cfg.replay:
-            charges_by_seq = dict(event_charges)
-            for seq, snap in event_obs:
-                merged.merge(snap)
-                part_eps = 0.0
-                part_delta = 0.0
-                for eps, delta in charges_by_seq.get(seq, []):
-                    part_eps += eps
-                    part_delta += delta
-                audit_eps += part_eps
-                audit_delta += part_delta
-        else:
-            # Live mode collects one snapshot per batch; fold each
-            # batch's charges as one partial sum, in the same
-            # shard-then-batch order the snapshots merge in.
-            for shard_batches in per_shard_batches:
-                for batch in shard_batches:
-                    for _, snap in batch.observations:
-                        merged.merge(snap)
-                    part_eps = 0.0
-                    part_delta = 0.0
-                    for _, charges in batch.charges:
-                        for eps, delta in charges:
-                            part_eps += eps
-                            part_delta += delta
-                    audit_eps += part_eps
-                    audit_delta += part_delta
         for af in actor_finalizes:
-            merged.merge(af.metrics)
-            part_eps = 0.0
-            part_delta = 0.0
-            for eps, delta in af.charges:
-                part_eps += eps
-                part_delta += delta
-            audit_eps += part_eps
-            audit_delta += part_delta
+            fold.add(af.metrics, af.charges)
 
         enqueued = sum(q.enqueued for q in queues)
         dropped = sum(q.dropped for q in queues)
         parent.counter("serve.ingress.enqueued").inc(enqueued)
         parent.counter("serve.ingress.dropped").inc(dropped)
-        merged.merge(parent.snapshot())
+        fold.registry.merge(parent.snapshot())
 
         shard_stats = [
             {
@@ -602,7 +609,7 @@ class ServeService:
                 "enqueued": q.enqueued,
                 "dropped": q.dropped,
                 "high_water": q.high_water,
-                "batches": len(per_shard_batches[spec_id]),
+                "batches": fold.batches[spec_id],
                 "actors": len(finalizes[spec_id]),
                 "events": sum(af.events_handled for af in finalizes[spec_id]),
             }
@@ -611,9 +618,9 @@ class ServeService:
         return ServeResult(
             digest=response_digest(responses),
             responses=responses,
-            metrics=merged.snapshot(),
-            audit_epsilon=audit_eps,
-            audit_delta=audit_delta,
+            metrics=fold.registry.snapshot(),
+            audit_epsilon=fold.audit_epsilon,
+            audit_delta=fold.audit_delta,
             ledger_epsilon=sum(af.ledger_epsilon for af in actor_finalizes),
             ledger_delta=sum(af.ledger_delta for af in actor_finalizes),
             ledger_spends=sum(af.ledger_spends for af in actor_finalizes),

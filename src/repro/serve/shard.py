@@ -8,18 +8,20 @@ layout, one single-worker executor per shard so actor affinity is
 guaranteed) or inline in the parent, which a heal forks into a new
 worker as it stands, and produces bit-identical replay results in both
 because nothing it computes depends on wall time or process identity.
+Once that heal worker has forked, the parent drops its inline copy.
 
 Observability is captured with :func:`repro.obs.trace.collect`, which
 swaps in a fresh registry, so shard workers meter unconditionally and
-the service merges the buffered snapshots parent-side:
+the service folds each batch's snapshots parent-side as it arrives:
 
-* **replay mode** collects *per event*, and the service merges the
-  per-event snapshots in global ``seq`` order — the float sums are
+* **replay mode** collects *per event*, and the service folds the
+  per-event snapshots in global ``seq`` order, holding back only those
+  that arrive ahead of an earlier event — the float sums are
   accumulated in one canonical association no matter how many shards the
   events came from, which is what makes the merged metrics snapshot (and
   the epsilon/delta gauge audit) bit-identical across shard counts;
-* **live mode** collects per batch — cheaper, and ordering guarantees
-  are not part of the live contract.
+* **live mode** collects per batch and folds in arrival order — cheaper,
+  and ordering guarantees are not part of the live contract.
 """
 
 from __future__ import annotations
@@ -378,11 +380,15 @@ def _init_shard(spec: ShardSpec, payload: Dict[str, Any]) -> None:
     _SHARD_STATE = ShardState(spec, schedule)
 
 
-def _adopt_shard(state: ShardState) -> None:
-    """Worker initializer for heal-rejoin: serve the inherited inline shard."""
+def _adopt_shard(holder: List[ShardState]) -> None:
+    """Worker initializer for heal-rejoin: serve the inherited inline shard.
+
+    ``holder`` is a one-slot list the parent empties once this worker has
+    forked, so only the worker's inherited copy of the shard lives on.
+    """
     global _SHARD_STATE
     gc.freeze()
-    _SHARD_STATE = state
+    (_SHARD_STATE,) = holder
 
 
 def _process_batch(batch: List[int]) -> BatchResult:

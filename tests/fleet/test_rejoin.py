@@ -4,11 +4,13 @@ A partition checkpoints the shard's worker and restores the state
 inline in the parent; the matching heal forks a new worker that serves
 that inline state as it stands.  Nothing is checkpointed or restored at
 heal, the new worker freezes the heap it inherited, and the replay's
-digests equal the inline run's.
+digests equal the inline run's.  Once the worker has forked, the parent
+holds no reference to the inline state it adopted.
 """
 
 import gc
 import os
+import weakref
 
 import pytest
 
@@ -77,3 +79,25 @@ def test_heal_forks_the_live_shard(tmp_path, monkeypatch, inline):
     assert report.digest == inline.digest
     assert report.metrics_digest() == inline.metrics_digest()
     assert report.audit.ok
+
+
+def test_heal_releases_the_adopted_shard(monkeypatch, inline):
+    released = []
+    rejoin = ServeService._rejoin
+
+    async def probed_rejoin(self, backend, parent):
+        adopted = weakref.ref(backend.state)
+        await rejoin(self, backend, parent)
+        if backend.executor is not None:
+            gc.collect()
+            released.append(adopted() is None)
+
+    monkeypatch.setattr(ServeService, "_rejoin", probed_rejoin)
+    report = run_fleet(SCENARIO, use_processes=True, **RUN)
+    if report.result.backend != "process":
+        pytest.skip("worker processes unavailable in this sandbox")
+
+    # The parent kept no reference to the inline shard the worker adopted.
+    assert released == [True]
+    assert report.digest == inline.digest
+    assert report.metrics_digest() == inline.metrics_digest()
